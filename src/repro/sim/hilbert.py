@@ -196,16 +196,18 @@ class RegisterLayout:
     def basis_product_state(self, assignment: Mapping[str, int]) -> np.ndarray:
         """Return the basis pure-state *vector* assigning each variable a basis index.
 
-        Variables not mentioned default to ``|0⟩``.
+        Variables not mentioned default to ``|0⟩``.  The one nonzero amplitude
+        sits at the assignment's mixed-radix index, the first variable most
+        significant, as in the Kronecker product of the local basis vectors.
         """
-        vector = np.ones(1, dtype=complex)
+        index = 0
         for name, dim in zip(self.names, self.dims):
             value = int(assignment.get(name, 0))
             if not 0 <= value < dim:
                 raise LinalgError(f"value {value} out of range for variable {name!r}")
-            local = np.zeros(dim, dtype=complex)
-            local[value] = 1.0
-            vector = np.kron(vector, local)
+            index = index * dim + value
+        vector = np.zeros(self.total_dim, dtype=complex)
+        vector[index] = 1.0
         return vector
 
 

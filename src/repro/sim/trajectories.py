@@ -91,11 +91,29 @@ then exactly ``Σ_i tr((Z_A ⊗ O)[[P'_i]](|0⟩⟨0| ⊗ ρ_r))`` over
 ``Compile(∂P/∂θ_k)`` — one forward pass plus one pass per requested
 parameter, however often the parameter occurs.  The forward rows reach the
 end of the walk, so their own readout is the value.
+
+**Fused runs.**  The consecutive unitary statements of a ``Seq`` form
+runs.  A run of at least two statements fuses when its gates are
+parameter-free, rotations or couplings, and its variables span ``W``
+amplitudes with ``W ≤ _FUSE_MAX`` and ``W`` at most the sum of its gates'
+dimensions (so the fused application charges no more model flops than the
+gates it replaces).  A fused run is bound once per walk, however often a
+``while`` body re-enters it: its product ``R`` on its own variables and,
+for each requested ``θ_k`` it uses, ``D_k = ∂R/∂θ_k``, built forward-mode
+through its gates as the walk itself differentiates.  ``R`` then maps every
+forward and tangent row in one kernel call, and ``D_k`` maps the forward
+rows as they entered the run into column ``k``'s tangents in one more.  The
+rule is static — it reads the statements and the register layout, never the
+binding or the rows, so a row's bits never depend on its batch — and each
+``Seq`` files its plan in its own memo, per layout.  A run that does not
+fuse goes gate by gate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -214,6 +232,22 @@ class _Rows(NamedTuple):
 
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
+
+#: Widest run, in amplitudes, that the walk applies as one bound operator.
+#: Binding a run takes ``W × W`` products per gate, so past some width it
+#: costs more than the per-gate kernel calls it saves.  Measured on one
+#: ``repro.vqc.generators.vqe_block`` on the first or last qubits of an 8-
+#: and a 12-qubit register, one input row, 2 vCPUs, median walk time of the
+#: value / θ₁ derivative, fused against gate by gate:
+#:
+#: * ``W = 8``: 0.18–0.21 / 0.28–0.37 ms against 0.46–0.88 / 0.70–1.68 ms;
+#: * ``W = 16``: 0.29–0.35 / 0.48–0.57 ms against 0.61–1.15 / 1.22–2.42 ms;
+#: * ``W = 32``: 1.62–1.81 / 2.28–2.61 ms against 0.74–2.30 / 1.62–4.71 ms,
+#:   slower on 8 qubits, where the binding alone takes about 1.2 ms.
+#:
+#: A cap of 8 would leave the 4-qubit blocks of the 12-qubit VQE instances
+#: gate by gate.
+_FUSE_MAX = 16
 
 
 def _branch_masses(stack: np.ndarray) -> np.ndarray:
@@ -379,6 +413,172 @@ def _fork_bounds(program: Program, parameters: tuple[Parameter, ...]) -> np.ndar
     return found
 
 
+@lru_cache(maxsize=1024)
+def _placement(dims: tuple[int, ...], axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Where an operator on ``axes`` of a ``dims`` register lands in the
+    register's operator ``E``: ``E[r, c] = A[target[r], target[c]]`` where
+    ``same[r, c]`` (``r`` and ``c`` agree off the targets), else 0."""
+    index = np.arange(math.prod(dims))
+    digits = np.unravel_index(index, dims)
+    target, rest = np.zeros(index.size, dtype=np.intp), index.copy()
+    for axis in axes:
+        target = target * dims[axis] + digits[axis]
+        rest -= digits[axis] * math.prod(dims[axis + 1 :])
+    return frozen(target), frozen(rest[:, np.newaxis] == rest)
+
+
+def _embedded(operator: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
+    """``operator`` on ``axes``, as an operator on the whole ``dims`` register."""
+    target, same = _placement(dims, axes)
+    return operator[target[:, np.newaxis], target] * same
+
+
+class _Run:
+    """A run of unitary statements that the walk applies as one operator.
+
+    ``axes`` are the run's variables in layout order, and every matrix acts
+    on their ``W``-dimensional product.  ``steps`` are the run's factors in
+    order: ``(i, None)`` is ``products[i]``, the product of consecutive
+    parameter-free gates, and ``(j, θ)`` the ``j``-th rotation or coupling,
+    of angle ``θ = angles[j]``.  Its generator is a Pauli string, whose
+    embedding ``G`` has one nonzero per row: ``G[r, perms[j, r]] =
+    phases[j, r]``.
+    """
+
+    __slots__ = ("axes", "products", "perms", "phases", "angles", "steps")
+
+    def __init__(self, statements: Sequence[UnitaryApp], layout: RegisterLayout, axes):
+        dims = tuple(layout.dims[axis] for axis in axes)
+        position = {layout.names[axis]: index for index, axis in enumerate(axes)}
+        rows = np.arange(math.prod(dims))
+        products, perms, phases, angles, steps = [], [], [], [], []
+        fixed = None
+        for statement in statements:
+            gate = statement.gate
+            targets = tuple(position[qubit] for qubit in statement.qubits)
+            if not gate.parameters():
+                embedded = _embedded(bound_gate_matrix(gate), dims, targets)
+                fixed = embedded if fixed is None else embedded @ fixed
+                continue
+            if fixed is not None:
+                steps.append((len(products), None))
+                products.append(fixed)
+                fixed = None
+            generator = _embedded(gate.generator(), dims, targets)
+            steps.append((len(angles), gate.angle))
+            perms.append(np.argmax(np.abs(generator), axis=1))
+            phases.append(generator[rows, perms[-1]])
+            angles.append(gate.angle)
+        if fixed is not None:
+            steps.append((len(products), None))
+            products.append(fixed)
+        self.axes = tuple(axes)
+        self.products = frozen(np.array(products, dtype=complex).reshape(-1, rows.size, rows.size))
+        self.perms = frozen(np.array(perms, dtype=np.intp).reshape(-1, rows.size))
+        self.phases = frozen(np.array(phases, dtype=complex).reshape(-1, rows.size))
+        self.angles = tuple(angles)
+        self.steps = tuple(steps)
+
+
+def _fusable(statements: Sequence[UnitaryApp], layout: RegisterLayout) -> _Run | None:
+    """The run as one operator, or ``None`` when it goes gate by gate.
+
+    It fuses when it has at least two statements, each gate is
+    parameter-free or a rotation or coupling (a gate with no tangent rule
+    stays on the per-gate path, which raises for it), and the ``W``
+    amplitudes its variables span are at most ``_FUSE_MAX`` and at most the
+    sum of its gates' dimensions, what the gates it replaces charge.
+    """
+    if len(statements) < 2:
+        return None
+    axes: set[int] = set()
+    replaced = 0
+    for statement in statements:
+        gate = statement.gate
+        if gate.parameters() and not isinstance(gate, (Rotation, Coupling)):
+            return None
+        targets = layout.axes_of(statement.qubits)
+        axes.update(targets)
+        replaced += math.prod(layout.dims[axis] for axis in targets)
+    width = math.prod(layout.dims[axis] for axis in axes)
+    if width > min(_FUSE_MAX, replaced):
+        return None
+    return _Run(statements, layout, sorted(axes))
+
+
+def _fusion_plan(program: Seq, layout: RegisterLayout) -> tuple:
+    """A ``Seq``'s statements as ``(start, end, run)`` segments, in order.
+
+    A run of consecutive unitaries is one segment, ``run`` its
+    :class:`_Run` when it fuses and ``None`` when it goes gate by gate;
+    every other statement is a segment of its own with ``run = None``.
+    Memoized in the node's memo per layout.
+    """
+    key = ("fusion", layout.names, layout.dims)
+    found = program.memo.get(key)
+    if found is None:
+        statements = _statements(program)
+        segments, start = [], 0
+        while start < len(statements):
+            end = start
+            while end < len(statements) and isinstance(statements[end], UnitaryApp):
+                end += 1
+            if end == start:
+                segments.append((start, start + 1, None))
+                start += 1
+            else:
+                segments.append((start, end, _fusable(statements[start:end], layout)))
+                start = end
+        found = program.memo.setdefault(key, tuple(segments))
+    return found
+
+
+def _rotations(angles: Sequence[float], generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``U(θ)`` and ``dU/dθ = ½U(θ+π)`` (Lemma D.1) per angle and generator.
+
+    Vectorized over a stack of angles and their generators ``G`` (``G² = I``):
+    ``U(θ) = cos(θ/2)·I − i·sin(θ/2)·G`` and
+    ``½U(θ+π) = ½(−sin(θ/2)·I − i·cos(θ/2)·G)``.
+    """
+    half = 0.5 * np.asarray(angles, dtype=float)[:, np.newaxis]
+    cos, sin = np.cos(half), np.sin(half)
+    diagonal = np.arange(generators.shape[-1])
+    unitaries = (-1j * sin)[:, :, np.newaxis] * generators
+    unitaries[:, diagonal, diagonal] += cos
+    derivatives = (-0.5j * cos)[:, :, np.newaxis] * generators
+    derivatives[:, diagonal, diagonal] -= 0.5 * sin
+    return unitaries, derivatives
+
+
+def _fork(
+    target: np.ndarray,
+    size: int,
+    count: int,
+    shift: np.ndarray,
+    column: int,
+    parents: np.ndarray,
+    columns: np.ndarray,
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Add ``shift[b]`` into forward row ``b``'s tangent of ``column``.
+
+    ``target`` holds ``count`` forward rows, then tangent rows up to
+    ``size``.  A forward row without a tangent of ``column`` gets one, set
+    to its ``shift`` and appended at ``target[size:]``.  Returns the new
+    ``(size, parents, columns)``.
+    """
+    mine = np.flatnonzero(columns == column)
+    target[count + mine] += shift[parents[mine]]
+    missing = np.ones(count, dtype=bool)
+    missing[parents[mine]] = False
+    fresh = np.flatnonzero(missing)
+    if fresh.size:
+        target[size : size + fresh.size] = shift[fresh]
+        size += fresh.size
+        parents = np.concatenate([parents, fresh])
+        columns = np.concatenate([columns, np.full(fresh.size, column, dtype=np.intp)])
+    return size, parents, columns
+
+
 class _Evaluator:
     def __init__(
         self,
@@ -390,21 +590,21 @@ class _Evaluator:
         forks: np.ndarray,
     ):
         self.layout = layout
-        self.binding = binding
+        self.binding = binding if binding is not None else ParameterBinding()
         self.options = options
         self.cap = (
             options.max_branches
             if options.max_branches is not None
             else max(64, layout.total_dim)
         )
-        # Tangent mode: each requested parameter's columns, the most forks
-        # of each column one branch can still take, and per parameter the
-        # binding shifted by π that binds U(θ+π).
+        # Tangent mode: each requested parameter's columns, and the most
+        # forks of each column one branch can take.
         self.columns: dict[Parameter, list[int]] = {}
         for column, parameter in enumerate(parameters):
             self.columns.setdefault(parameter, []).append(column)
         self.forks = forks
-        self.shifted: dict[Parameter, ParameterBinding] = {}
+        # Each fused run's R and D_k, bound on its first use in this walk.
+        self.bound: dict[_Run, tuple[np.ndarray, dict[Parameter, np.ndarray]]] = {}
         # Per input: the forward mass dropped, then each column's charge.
         self.dropped = np.zeros((num_inputs, 1 + len(parameters)))
         self.peak = 0
@@ -563,19 +763,18 @@ class _Evaluator:
         )
 
     def _sequence(self, program: Seq, rows: _Rows) -> _Rows:
-        """A sequence's statements in order, consecutive unitaries as one run."""
+        """A sequence's statements in order, each run of unitaries fused or
+        gate by gate as its plan says."""
         statements = _statements(program)
-        index = 0
-        while index < len(statements) and rows.owners.size:
-            end = index
-            while end < len(statements) and isinstance(statements[end], UnitaryApp):
-                end += 1
-            if end == index:
-                rows = self.denote(statements[index], rows)
-                index += 1
+        for start, end, run in _fusion_plan(program, self.layout):
+            if not rows.owners.size:
+                break
+            if run is not None:
+                rows = self._fused(run, rows)
+            elif isinstance(statements[start], UnitaryApp):
+                rows = self._gates(statements[start:end], rows)
             else:
-                rows = self._gates(statements[index:end], rows)
-                index = end
+                rows = self.denote(statements[start], rows)
         return rows
 
     def _forked(self, statement: UnitaryApp) -> list[int]:
@@ -594,15 +793,17 @@ class _Evaluator:
                 f"no tangent rule for gate {gate.display()}; only Pauli rotations "
                 "R_σ(θ) and couplings R_{σ⊗σ}(θ) are supported (Figure 4)"
             )
-        shifted = self.shifted.get(gate.angle)
-        if shifted is None:
-            shifted = self.shifted[gate.angle] = self.binding.shifted(gate.angle, np.pi)
-        return 0.5 * bound_gate_matrix(gate, shifted)
+        _, derivatives = _rotations([self.binding[gate.angle]], gate.generator()[np.newaxis])
+        return derivatives[0]
 
     def _gates(self, statements: Sequence[UnitaryApp], rows: _Rows) -> _Rows:
-        """A run of unitary statements on forward and tangent rows alike.
+        """A run of unitary statements, gate by gate.
 
-        Each gate ``U`` applies to every row in one call.  At a statement
+        A run the plan fuses takes :meth:`_fused` instead: whether a run
+        fuses is static (:func:`_fusable`), and a fused run is bound once
+        per walk (:meth:`_bind`) and applied in one call plus one per
+        requested parameter.  Here each gate ``U`` applies to every row in
+        one call, bound through ``bound_gate_matrix``.  At a statement
         that uses a requested ``θ_k``, ``½U(θ+π)`` applies to the forward
         rows as they entered it, and the result adds into each branch's
         ``∂_kψ`` — or becomes it, at the branch's first fork of ``k``.
@@ -621,35 +822,90 @@ class _Evaluator:
             if buffers[side] is None:
                 buffers[side] = np.empty((capacity, stack.shape[1]), dtype=complex)
             target = buffers[side]
+            axes = self.layout.axes_of(statement.qubits)
             matrix = bound_gate_matrix(statement.gate, self.binding)
-            self._apply(statement, matrix, stack, target[:size])
+            self._apply(axes, matrix, stack, target[:size])
             if forked:
-                shift = self._apply(statement, self._derivative(statement), stack[:count])
+                shift = self._apply(axes, self._derivative(statement), stack[:count])
                 for column in forked:
-                    mine = np.flatnonzero(columns == column)
-                    target[count + mine] += shift[parents[mine]]
-                    missing = np.ones(count, dtype=bool)
-                    missing[parents[mine]] = False
-                    fresh = np.flatnonzero(missing)
-                    if fresh.size:
-                        target[size : size + fresh.size] = shift[fresh]
-                        size += fresh.size
-                        parents = np.concatenate([parents, fresh])
-                        columns = np.concatenate(
-                            [columns, np.full(fresh.size, column, dtype=np.intp)]
-                        )
+                    size, parents, columns = _fork(
+                        target, size, count, shift, column, parents, columns
+                    )
             stack, side = target[:size], 1 - side
         return _Rows(stack, rows.owners, parents, columns)
 
+    def _fused(self, run: _Run, rows: _Rows) -> _Rows:
+        """A fused run: ``R`` on every row, then ``D_k ψ`` into column ``k``.
+
+        ``ψ`` are the forward rows as they entered the run; the tangent
+        rows a run creates start from ``D_k ψ``, which already carries the
+        rest of the run, so ``R`` never applies to them.
+        """
+        operator, derivatives = self._bind(run)
+        count = rows.owners.size
+        forked = sum(len(self.columns[parameter]) for parameter in derivatives)
+        size = rows.stack.shape[0]
+        target = np.empty((size + count * forked, rows.stack.shape[1]), dtype=complex)
+        self._apply(run.axes, operator, rows.stack, target[:size])
+        parents, columns = rows.parents, rows.columns
+        for parameter, derivative in derivatives.items():
+            shift = self._apply(run.axes, derivative, rows.stack[:count])
+            for column in self.columns[parameter]:
+                size, parents, columns = _fork(target, size, count, shift, column, parents, columns)
+        return _Rows(target[:size], rows.owners, parents, columns)
+
+    def _bind(self, run: _Run) -> tuple[np.ndarray, dict[Parameter, np.ndarray]]:
+        """A fused run's ``R`` and its ``D_k = ∂R/∂θ_k`` per requested
+        parameter it uses, bound on the run's first use in this walk.
+
+        Forward mode, as the walk differentiates: the product so far and
+        one tangent matrix per requested parameter, from its first
+        occurrence on, pass through each factor, and a factor that uses
+        ``θ_k`` adds ``½U(θ+π)`` times the product so far into ``θ_k``'s.
+        These ``W × W`` products are binding work, not kernel calls.
+        """
+        found = self.bound.get(run)
+        if found is not None:
+            return found
+        width = run.products.shape[-1]
+        generators = np.zeros((len(run.angles), width, width), dtype=complex)
+        generators[np.arange(len(run.angles))[:, np.newaxis], np.arange(width), run.perms] = (
+            run.phases
+        )
+        unitaries, derivatives = _rotations(
+            [self.binding[angle] for angle in run.angles], generators
+        )
+        product = np.eye(width, dtype=complex)[np.newaxis]
+        slots: dict[Parameter, int] = {}
+        for index, angle in run.steps:
+            if angle is None:
+                product = run.products[index] @ product
+                continue
+            requested = angle in self.columns
+            if requested:
+                increment = derivatives[index] @ product[0]
+            product = unitaries[index] @ product
+            if requested:
+                if angle in slots:
+                    product[slots[angle]] += increment
+                else:
+                    slots[angle] = product.shape[0]
+                    product = np.concatenate([product, increment[np.newaxis]])
+        found = self.bound[run] = (
+            product[0],
+            {angle: product[slot] for angle, slot in slots.items()},
+        )
+        return found
+
     def _apply(
         self,
-        statement: UnitaryApp,
+        axes: tuple[int, ...],
         matrix: np.ndarray,
         stack: np.ndarray,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         return kernels.apply_operator_vector_batch(
-            stack, self.layout.dims, self.layout.axes_of(statement.qubits), matrix, out=out
+            stack, self.layout.dims, axes, matrix, out=out
         )
 
     def _reset(self, variable: str, rows: _Rows) -> _Rows:

@@ -29,12 +29,14 @@ from repro.api import (
     ObservableSpec,
     StatevectorBackend,
 )
-from repro.lang.ast import Sum
-from repro.lang.builder import bounded_while_on_qubit, case_on_qubit, rx, ry, seq
+from repro.lang.ast import Sum, UnitaryApp
+from repro.lang.builder import bounded_while_on_qubit, case_on_qubit, rx, ry, rz, rzz, seq
+from repro.lang.gates import cnot, hadamard
 from repro.lang.parameters import Parameter, ParameterBinding
 from repro.sim.density import DensityState
 from repro.sim.hilbert import RegisterLayout
 from repro.sim.kernels import count_kernel_ops
+from repro.sim.trajectories import _fusion_plan
 from repro.service.planner import request_cost
 
 from tests.conftest import (
@@ -201,6 +203,49 @@ class TestDirectedShapes:
         state = DensityState.basis_state(LAYOUT, {"q1": 0, "q2": 0})
         binding = ParameterBinding({THETA: 0.5, PHI: -0.4})
         _check_statevector_value(program, state, binding)
+
+    def test_fused_runs_stay_within_the_prediction(self):
+        # The hypothesis suites above run on two qubits, where few runs fuse;
+        # here every straight-line run of the walk is one bound operator.
+        layout = RegisterLayout(("q1", "q2", "q3", "q4"))
+        block = seq(
+            [
+                rx(THETA, "q1"),
+                rx(THETA, "q2"),
+                rz(PHI, "q3"),
+                UnitaryApp(hadamard(), ("q2",)),
+                UnitaryApp(cnot(), ("q1", "q2")),
+                UnitaryApp(cnot(), ("q2", "q3")),
+                rzz(THETA, "q3", "q1"),
+                ry(PHI, "q2"),
+            ]
+        )
+        tail = seq([ry(THETA, "q4"), rzz(PHI, "q4", "q3"), rx(0.3, "q3")])
+        program = seq(
+            [block, case_on_qubit("q1", {0: block, 1: tail}), bounded_while_on_qubit("q2", tail, 2)]
+        )
+        state = DensityState.basis_state(layout, {"q1": 0, "q2": 1, "q3": 0, "q4": 1})
+        binding = ParameterBinding({THETA: 0.9, PHI: -1.7})
+        backend = StatevectorBackend(cache=DenotationCache(max_entries=0))
+        spec = ObservableSpec(ZZ, targets=("q2", "q3"))
+        with count_kernel_ops() as counters:
+            backend.value(program, spec, state, binding)
+        assert backend.tier_counts["density"] == 0
+        assert [run is not None for _, _, run in _fusion_plan(block, layout)] == [True]
+        assert [run is not None for _, _, run in _fusion_plan(tail, layout)] == [True]
+        _assert_within(counters, backend.explain_tier(program, layout=layout).routed)
+
+        estimator = Estimator(
+            program, ZZ, layout, targets=("q2", "q3"), parameters=(THETA, PHI, ABSENT),
+            backend=backend,
+        )
+        request = estimator.request_gradient(state, binding)
+        with count_kernel_ops() as counters:
+            backend.derivative_batch(
+                list(request.program_sets), request.observable, [(state, binding)]
+            )
+        assert backend.tier_counts["density"] == 0
+        assert counters.flops <= request_cost(request) * _REL
 
     def test_counters_observe_something(self):
         # Guard against a silently disabled instrumentation layer: a real

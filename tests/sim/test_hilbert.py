@@ -144,6 +144,32 @@ class TestStates:
         with pytest.raises(LinalgError):
             RegisterLayout(["a"]).basis_product_state({"a": 2})
 
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 2, 2), (3, 3), (2, 3, 2), (3, 2, 4)], ids=["qubits", "qutrits", "2-3-2", "3-2-4"]
+    )
+    def test_basis_product_state_is_the_kronecker_product(self, dims):
+        layout = RegisterLayout([f"v{i}" for i in range(len(dims))], dims)
+        rng = np.random.default_rng(len(dims))
+        for _ in range(12):
+            full = {name: int(rng.integers(dim)) for name, dim in zip(layout.names, dims)}
+            # Every other variable left out: it defaults to |0⟩.
+            for assignment in (full, dict(list(full.items())[::2]), {}):
+                expected = np.ones(1, dtype=complex)
+                for name, dim in zip(layout.names, dims):
+                    local = np.zeros(dim, dtype=complex)
+                    local[assignment.get(name, 0)] = 1.0
+                    expected = np.kron(expected, local)
+                vector = layout.basis_product_state(assignment)
+                assert vector.dtype == complex
+                assert np.array_equal(vector, expected)
+
+    def test_basis_product_state_range_error_names_the_variable(self):
+        layout = RegisterLayout(["a", "t"], [2, 3])
+        for assignment, message in (({"t": 3}, "value 3 out of range for variable 't'"),
+                                    ({"a": -1}, "value -1 out of range for variable 'a'")):
+            with pytest.raises(LinalgError, match=message):
+                layout.basis_product_state(assignment)
+
     def test_embed_state_places_rest_in_zero(self):
         layout = RegisterLayout(["a", "b"])
         rho_b = np.array([[0, 0], [0, 1]], dtype=complex)

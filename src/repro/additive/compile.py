@@ -38,17 +38,22 @@ from repro.lang.ast import (
     Sum,
     UnitaryApp,
     While,
+    abort_over,
 )
 from repro.lang.traversal import unfold_while
 from repro.additive.essential_abort import essentially_aborts
 
 
 def canonical_abort(program: Program) -> Abort:
-    """Return the canonical ``abort[v]`` over the program's accessible variables."""
-    variables = tuple(sorted(program.qvars()))
+    """Return the canonical ``abort[v]`` over the program's accessible variables.
+
+    It is the one shared node :func:`repro.lang.ast.abort_over` keeps for
+    that variable set.
+    """
+    variables = program.qvars()
     if not variables:
         raise CompilationError("cannot build an abort statement over an empty variable set")
-    return Abort(variables)
+    return abort_over(variables)
 
 
 def compile_additive(program: Program) -> list[Program]:

@@ -40,14 +40,8 @@ ANCILLA_OBSERVABLE = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def rotation_prime(axis: str, angle: Parameter | float, ancilla: str, qubit: str) -> Program:
     """Build the gadget program ``R'_σ(θ)[A, q]`` for a single-qubit rotation."""
-    h = hadamard()
-    return seq(
-        [
-            UnitaryApp(h, (ancilla,)),
-            UnitaryApp(ControlledRotation(axis, angle), (ancilla, qubit)),
-            UnitaryApp(h, (ancilla,)),
-        ]
-    )
+    h = UnitaryApp(hadamard(), (ancilla,))
+    return seq([h, UnitaryApp(ControlledRotation(axis, angle), (ancilla, qubit)), h])
 
 
 def coupling_prime(
@@ -58,14 +52,8 @@ def coupling_prime(
     qubit2: str,
 ) -> Program:
     """Build the gadget program ``R'_{σ⊗σ}(θ)[A, q1, q2]`` for a two-qubit coupling."""
-    h = hadamard()
-    return seq(
-        [
-            UnitaryApp(h, (ancilla,)),
-            UnitaryApp(ControlledCoupling(axis, angle), (ancilla, qubit1, qubit2)),
-            UnitaryApp(h, (ancilla,)),
-        ]
-    )
+    h = UnitaryApp(hadamard(), (ancilla,))
+    return seq([h, UnitaryApp(ControlledCoupling(axis, angle), (ancilla, qubit1, qubit2)), h])
 
 
 def differentiation_gadget(statement: UnitaryApp, ancilla: str) -> Program:

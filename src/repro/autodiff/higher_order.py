@@ -18,6 +18,7 @@ of the paper anticipates.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -43,8 +44,10 @@ from repro.autodiff.transform import ancilla_name_for, differentiate
 from repro.semantics.denotational import denote
 
 
+@cache
 def _controlled_pi_gate(axis: str, arity: int) -> FixedGate:
-    """The fixed unitary ``|0⟩⟨0| ⊗ I + |1⟩⟨1| ⊗ R_σ(π)`` (control first)."""
+    """The fixed unitary ``|0⟩⟨0| ⊗ I + |1⟩⟨1| ⊗ R_σ(π)`` (control first),
+    built once per axis and shared like the common fixed gates."""
     if arity == 2:
         block = rotation_matrix(axis, np.pi)
     else:

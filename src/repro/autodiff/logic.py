@@ -37,6 +37,7 @@ from repro.lang.ast import (
     Sum,
     UnitaryApp,
     While,
+    abort_over,
 )
 from repro.lang.gates import Coupling, Rotation
 from repro.lang.parameters import Parameter, ParameterBinding
@@ -155,11 +156,10 @@ def _while_derivative(loop: While, body_derivative: Program, context: Differenti
     Case/Sequence/Trivial rules; here it is assembled directly from the body
     and the already-derived body derivative.
     """
-    loop_abort = Abort(tuple(sorted(loop.qvars())))
     if loop.bound == 1:
         continuation: Program = Sum(
             Seq(loop.body, context.trivial_abort()),
-            Seq(body_derivative, loop_abort),
+            Seq(body_derivative, abort_over(loop.qvars())),
         )
     else:
         smaller = While(loop.measurement, loop.qubits, loop.body, loop.bound - 1)

@@ -24,7 +24,9 @@ automatic differentiation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from repro.errors import TransformError
@@ -38,6 +40,7 @@ from repro.lang.ast import (
     Sum,
     UnitaryApp,
     While,
+    abort_over,
 )
 from repro.lang.parameters import Parameter
 from repro.lang.traversal import unfold_while
@@ -51,16 +54,19 @@ def ancilla_name_for(program: Program, parameter: Parameter) -> str:
     The name embeds the parameter so that ancillae of different partial
     derivatives never collide; a numeric suffix is appended in the unlikely
     event that the program already uses the name (e.g. iterated
-    differentiation with respect to the same parameter).
+    differentiation with respect to the same parameter).  The name is
+    ``sys.intern``-ed: the shared aborts over ``v ∪ {A}`` hold the string of
+    their first caller, and pickles write one string object once, so equal
+    work digests alike only if every call hands out the same object.
     """
     used = program.qvars()
     base = f"anc_{parameter.name}"
     if base not in used:
-        return base
+        return sys.intern(base)
     counter = 1
     while f"{base}_{counter}" in used:
         counter += 1
-    return f"{base}_{counter}"
+    return sys.intern(f"{base}_{counter}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,11 @@ class DifferentiationContext:
 
     def trivial_abort(self) -> Abort:
         """The ``abort[v ∪ {A}]`` statement used by the Trivial rules."""
-        return Abort(tuple(sorted(set(self.variables) | {self.ancilla})))
+        return self._trivial_abort
+
+    @cached_property
+    def _trivial_abort(self) -> Abort:
+        return abort_over((*self.variables, self.ancilla))
 
 
 def differentiate(

@@ -18,16 +18,20 @@ constructor stores the node's *facts*, built from its children's stored
 facts without recursing: qVar (Appendix B.1), the parameters, additivity,
 and the "essentially aborts" verdict of Definition 3.2.  A program has few
 distinct variable and parameter sets, so its nodes share them through one
-bounded intern.  Results derived from a node — analysis reports, its wire
-digest, its compiled multiset — live in the node's own :attr:`Program.memo`.
-Pickling re-runs the constructor, so facts and memos never enter a pickle.
+bounded intern, and the canonical ``abort[v]`` that the Figure 4 transform
+and the Figure 3 compile emit for a variable set ``v`` is one shared node
+from a second one (:func:`abort_over`).  Equal nodes may therefore be one
+object: compare nodes with ``==``.  Results derived from a node — analysis
+reports, its wire digest, its compiled multiset — live in the node's own
+:attr:`Program.memo`.  Pickling re-runs the constructor, so facts and memos
+never enter a pickle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import WellFormednessError
 from repro.lang.gates import Gate
@@ -301,12 +305,30 @@ class Sum(Program):
         return (self.left, self.right)
 
 
+def abort_over(variables: Iterable[str]) -> Abort:
+    """The canonical ``abort[v]`` over the variable set ``v``, names sorted.
+
+    The Trivial rules of Figure 4 and the Figure 3 compile emit one such
+    statement per rule application, over the few variable sets a program
+    has; each set's statement is built once, in a bounded intern keyed by
+    the set's content, and shared by every caller.
+    """
+    return _interned_abort(frozenset(variables))
+
+
+@lru_cache(maxsize=4096)
+def _interned_abort(variables: frozenset) -> Abort:
+    return Abort(sorted(variables))
+
+
 def _normalize_qubits(qubits: Sequence[str]) -> tuple[str, ...]:
     if isinstance(qubits, str):
         qubits = (qubits,)
-    names = tuple(str(q) for q in qubits)
+    names = tuple(map(str, qubits))
     if not names:
         raise WellFormednessError("a statement must mention at least one quantum variable")
+    if "" in names:
+        raise WellFormednessError(f"quantum variables require a name, got {names}")
     if len(set(names)) != len(names):
         raise WellFormednessError(f"quantum variables must be distinct, got {names}")
     return names

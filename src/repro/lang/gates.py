@@ -7,13 +7,15 @@ single-qubit Pauli rotations ``R_σ(θ)`` and the two-qubit couplings
 ion-trap machines, Section 3.1); the differentiation gadget additionally
 uses Hadamard and the controlled rotations ``C_R_σ(θ)`` of Definition 6.1.
 Arbitrary fixed (non-parameterized) unitaries are supported as
-:class:`FixedGate`.
+:class:`FixedGate`; each common fixed gate's factory (:func:`hadamard`,
+:func:`cnot`, …) validates its gate once and returns that one frozen
+instance on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Union
 
 import numpy as np
@@ -282,36 +284,43 @@ class ControlledCoupling(Gate):
 # -- common fixed gates -------------------------------------------------------
 
 
+@cache
 def hadamard() -> FixedGate:
     """The Hadamard gate ``H``."""
     return FixedGate("H", HADAMARD)
 
 
+@cache
 def pauli_x() -> FixedGate:
     """The Pauli ``X`` gate."""
     return FixedGate("X", PAULI_X)
 
 
+@cache
 def pauli_y() -> FixedGate:
     """The Pauli ``Y`` gate."""
     return FixedGate("Y", PAULI_Y)
 
 
+@cache
 def pauli_z() -> FixedGate:
     """The Pauli ``Z`` gate."""
     return FixedGate("Z", PAULI_Z)
 
 
+@cache
 def cnot() -> FixedGate:
     """The controlled-NOT gate (control first)."""
     return FixedGate("CNOT", CNOT)
 
 
+@cache
 def cz() -> FixedGate:
     """The controlled-Z gate."""
     return FixedGate("CZ", CZ)
 
 
+@cache
 def swap() -> FixedGate:
     """The SWAP gate."""
     return FixedGate("SWAP", SWAP)

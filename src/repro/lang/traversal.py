@@ -21,6 +21,7 @@ from repro.lang.ast import (
     Sum,
     UnitaryApp,
     While,
+    abort_over,
 )
 
 
@@ -121,9 +122,8 @@ def unfold_while(loop: While) -> Case:
     * ``while(T) M[q]=1 do P done  ≡  case M[q] = 0 → skip, 1 → P; while(T−1) end``
     """
     qubits = loop.qubits
-    all_vars = tuple(sorted(loop.qvars()))
     if loop.bound == 1:
-        continuation: Program = Seq(loop.body, Abort(all_vars))
+        continuation: Program = Seq(loop.body, abort_over(loop.qvars()))
     else:
         continuation = Seq(
             loop.body,

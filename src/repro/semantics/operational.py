@@ -25,6 +25,7 @@ from repro.lang.ast import (
     Sum,
     UnitaryApp,
     While,
+    abort_over,
 )
 from repro.lang.gates import bound_gate_matrix
 from repro.lang.parameters import ParameterBinding
@@ -96,9 +97,8 @@ def step(config: Configuration, binding: ParameterBinding | None = None) -> list
             successors.append(Configuration(Seq(program.body, rest), continuing))
         else:
             # while(1): one more body execution followed by abort (Eq. 3.1).
-            successors.append(
-                Configuration(Seq(program.body, Abort(tuple(sorted(program.qvars())))), continuing)
-            )
+            abort = abort_over(program.qvars())
+            successors.append(Configuration(Seq(program.body, abort), continuing))
         return successors
     if isinstance(program, Sum):
         return [Configuration(program.left, state), Configuration(program.right, state)]

@@ -181,3 +181,15 @@ class TestDifferentiationContext:
     def test_trivial_abort_covers_all_variables(self):
         context = DifferentiationContext(THETA, "a", ("q2", "q1"))
         assert context.trivial_abort() == Abort(("a", "q1", "q2"))
+
+    def test_every_trivial_rule_yields_the_one_shared_abort(self):
+        program = seq([Skip(["q1"]), rx(PHI, "q2"), Init("q1"), rx(THETA, "q1")])
+        abort = DifferentiationContext(THETA, "a", ("q1", "q2")).trivial_abort()
+        derivative = differentiate(program, THETA, ancilla="a")
+        stack, found = [derivative], []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Abort):
+                found.append(node)
+            stack.extend(node.children())
+        assert len(found) == 3 and all(node is abort for node in found)

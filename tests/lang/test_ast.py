@@ -8,7 +8,18 @@ from hypothesis import given, settings
 from repro.additive.compile import canonical_abort
 from repro.additive.essential_abort import essentially_aborts
 from repro.errors import WellFormednessError
-from repro.lang.ast import Abort, Case, Init, Seq, Skip, Sum, UnitaryApp, While
+from repro.lang.ast import (
+    Abort,
+    Case,
+    Init,
+    Seq,
+    Skip,
+    Sum,
+    UnitaryApp,
+    While,
+    _interned_abort,
+    abort_over,
+)
 from repro.lang.builder import rx, ry, rz, rxx, seq
 from repro.lang.gates import Rotation, hadamard
 from repro.lang.parameters import Parameter
@@ -42,6 +53,26 @@ class TestAtomicStatements:
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(WellFormednessError):
             Skip(["q1", "q1"])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            Abort,
+            Skip,
+            lambda names: UnitaryApp(hadamard(), names[-1:]),
+            lambda names: Case(
+                computational_measurement(1), names[-1:], {0: Skip(["q1"]), 1: Skip(["q1"])}
+            ),
+            lambda names: While(computational_measurement(1), names[-1:], Skip(["q1"]), 1),
+        ],
+        ids=["abort", "skip", "unitary", "case", "while"],
+    )
+    def test_empty_variable_name_rejected(self, build):
+        # ``abort[]`` / ``H[]`` would print but never parse back.
+        assert build(["q2"]).qvars() >= {"q2"}
+        for names in ([""], ["q2", ""]):
+            with pytest.raises(WellFormednessError, match="require a name"):
+                build(names)
 
     def test_no_parameters(self):
         assert Abort(["q1"]).parameters() == frozenset()
@@ -211,6 +242,30 @@ class TestStoredFacts:
         clone = pickle.loads(pickled)
         assert clone == program and "memo" not in vars(clone)
         assert wire.content_digest(build()) == digest
+
+
+class TestCanonicalAbort:
+    """``abort_over`` keeps one ``abort[v]`` per variable set, in a bounded intern."""
+
+    def test_one_node_per_variable_set(self):
+        node = abort_over(["q2", "q1"])
+        assert node == Abort(("q1", "q2"))
+        assert abort_over(frozenset({"q1", "q2"})) is node
+        assert canonical_abort(Seq(rx(THETA, "q2"), ry(PHI, "q1"))) is node
+        assert abort_over(["q1"]) is not node
+
+    def test_the_intern_is_bounded(self):
+        bound = _interned_abort.cache_info().maxsize
+        assert bound is not None
+        first = abort_over(["b0"])
+        for index in range(1, bound + 1):
+            abort_over([f"b{index}"])
+        assert abort_over(["b0"]) == first
+        assert abort_over(["b0"]) is not first
+
+    def test_empty_variable_set_rejected(self):
+        with pytest.raises(WellFormednessError):
+            abort_over([])
 
 
 class TestDeepPrograms:

@@ -1,10 +1,13 @@
 """Unit tests for the AST-level gate language (repro.lang.gates)."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from repro.errors import LinalgError, ParameterError
 from repro.lang.gates import (
+    FIXED_GATE_REGISTRY,
     ControlledCoupling,
     ControlledRotation,
     Coupling,
@@ -54,6 +57,14 @@ class TestFixedGate:
     def test_equality(self):
         assert hadamard() == hadamard()
         assert hadamard() != pauli_x()
+
+    @pytest.mark.parametrize("name", sorted(FIXED_GATE_REGISTRY))
+    def test_each_factory_returns_its_one_frozen_gate(self, name):
+        factory = FIXED_GATE_REGISTRY[name]
+        gate = factory()
+        assert gate is factory() and gate.name == name
+        with pytest.raises(FrozenInstanceError):
+            gate.name = "other"
 
 
 class TestRotation:

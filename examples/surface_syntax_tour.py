@@ -24,7 +24,6 @@ from __future__ import annotations
 from repro.api import Estimator
 from repro.lang import Parameter, parse_program, pretty_print
 from repro.lang.wellformed import check_well_formed
-from repro.lang.traversal import reassociate
 from repro.analysis.resources import analyze_program
 
 SOURCE = """
@@ -74,7 +73,7 @@ def main() -> None:
     for index, compiled in enumerate(program_set.nonaborting_programs()):
         text = pretty_print(compiled)
         reparsed = parse_program(text)
-        assert reparsed == reassociate(compiled)
+        assert reparsed == compiled
         print(f"\nCompiled derivative program #{index + 1} (re-parses identically):")
         print(text)
 

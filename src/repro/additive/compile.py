@@ -6,15 +6,22 @@ together, realize the multiset semantics of the additive program
 (Proposition 4.2).  The rules follow Figure 3 of the paper:
 
 * **Atomic** statements compile to themselves.
-* **Sequence** compiles to the pairwise compositions of the operands'
-  compilations, collapsing to ``{|abort|}`` when either side compiles to
-  ``{|abort|}``.
+* **Sequence** ``S₁; …; Sₙ`` compiles to every composition of one member
+  of each statement's compilation, in order (the first statement's member
+  varies slowest), collapsing to ``{|abort|}`` when any statement compiles
+  to ``{|abort|}``.  The figure's binary rule, applied along any nesting of
+  the chain, gives this same list.
 * **Case** uses the *fill-and-break* procedure: each branch's non-aborting
   programs are padded with ``abort`` up to the longest branch and the
   ``case`` is broken into that many normal ``case`` programs.
 * **While** is compiled through its case/sequence macro expansion.
-* **Sum** compiles to the multiset union of the summands' compilations,
-  dropping summands that compile to ``{|abort|}``.
+* **Sum** ``P₁ + … + Pₙ`` compiles to the multiset union of the summands'
+  compilations, dropping summands that compile to ``{|abort|}``.
+
+A program compiles to ``{|abort|}`` exactly when it essentially aborts, so
+each rule's abort case is one test of the verdict its node stores, and
+every rule is one loop over the node's children: nothing recurses once per
+statement of a chain.
 
 The implementation applies the optimization the paper describes around
 Definition 3.2: a sub-program that is already a *normal* program compiles to
@@ -27,16 +34,15 @@ benchmark instances.
 
 from __future__ import annotations
 
+from itertools import product
+
 from repro.errors import CompilationError
 from repro.lang.ast import (
     Abort,
     Case,
-    Init,
     Program,
     Seq,
-    Skip,
     Sum,
-    UnitaryApp,
     While,
     abort_over,
 )
@@ -90,60 +96,40 @@ def nonaborting_count(program: Program) -> int:
 
 
 def _compile(program: Program) -> list[Program]:
+    if essentially_aborts(program):
+        return [canonical_abort(program)]
     if not program.is_additive():
         # Normal-program fast path (see module docstring).
-        if essentially_aborts(program):
-            return [canonical_abort(program)]
         return [program]
     if isinstance(program, Sum):
-        return _compile_sum(program)
+        return [member for summand in program.summands for member in _nonaborting(summand)]
     if isinstance(program, Seq):
-        return _compile_seq(program)
+        options = [
+            _compile(statement) if statement.is_additive() else (statement,)
+            for statement in program.statements
+        ]
+        return [Seq(*choice) for choice in product(*options)]
     if isinstance(program, Case):
         return _compile_case(program)
     if isinstance(program, While):
         return _compile(unfold_while(program))
-    if isinstance(program, (Abort, Skip, Init, UnitaryApp)):
-        # Atomic statements are never additive; handled above, kept for clarity.
-        return [program]
     raise CompilationError(f"unknown program node {type(program).__name__}")
+
+
+def _nonaborting(program: Program) -> list[Program]:
+    """The non-aborting members of ``Compile(program)``: all of them, or none."""
+    compiled = _compile(program)
+    return [] if _is_abort_singleton(compiled) else compiled
 
 
 def _is_abort_singleton(compiled: list[Program]) -> bool:
     return len(compiled) == 1 and isinstance(compiled[0], Abort)
 
 
-def _compile_sum(program: Sum) -> list[Program]:
-    left = _compile(program.left)
-    right = _compile(program.right)
-    left_aborts = _is_abort_singleton(left)
-    right_aborts = _is_abort_singleton(right)
-    if left_aborts and right_aborts:
-        return [canonical_abort(program)]
-    if left_aborts:
-        return right
-    if right_aborts:
-        return left
-    return left + right
-
-
-def _compile_seq(program: Seq) -> list[Program]:
-    first = _compile(program.first)
-    second = _compile(program.second)
-    if _is_abort_singleton(first) or _is_abort_singleton(second):
-        return [canonical_abort(program)]
-    return [Seq(a, b) for a in first for b in second]
-
-
 def _compile_case(program: Case) -> list[Program]:
     """The fill-and-break procedure of Figure 3b."""
-    non_aborting: dict[int, list[Program]] = {}
-    for outcome, branch in program.branches:
-        compiled = _compile(branch)
-        non_aborting[outcome] = [q for q in compiled if not essentially_aborts(q)]
+    non_aborting = {outcome: _nonaborting(branch) for outcome, branch in program.branches}
     width = max(len(programs) for programs in non_aborting.values())
-    if width == 0:
-        return [canonical_abort(program)]
     filler = canonical_abort(program)
     padded = {
         outcome: programs + [filler] * (width - len(programs))

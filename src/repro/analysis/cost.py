@@ -187,13 +187,14 @@ class _CostWalk:
                 1.0,
             )
         if isinstance(program, Seq):
-            first = self.vector(program.first)
-            second = self.vector(program.second)
-            return _Vec(
-                first.flops + second.flops.times(first.width),
-                first.width.times(second.width),
-                max(first.peak, _mul(first.width.hi, second.peak)),
-            )
+            first, *rest = map(self.vector, program.statements)
+            for second in rest:
+                first = _Vec(
+                    first.flops + second.flops.times(first.width),
+                    first.width.times(second.width),
+                    max(first.peak, _mul(first.width.hi, second.peak)),
+                )
+            return first
         if isinstance(program, Case):
             outcomes = len(program.branches)
             guard = _mul(float(outcomes) * self._arity_dim(program.qubits), total)
@@ -236,13 +237,14 @@ class _CostWalk:
                 max(1.0, _mul(u_last, max(1.0, body.peak))),
             )
         if isinstance(program, Sum):
-            left = self.vector(program.left)
-            right = self.vector(program.right)
-            return _Vec(
-                left.flops + right.flops,
-                left.width + right.width,
-                max(1.0, left.peak, right.peak),
-            )
+            left, *rest = map(self.vector, program.summands)
+            for right in rest:
+                left = _Vec(
+                    left.flops + right.flops,
+                    left.width + right.width,
+                    max(1.0, left.peak, right.peak),
+                )
+            return left
         # Unknown node: nothing sound can be said about the vector tier.
         return _Vec(
             CostInterval(0.0, math.inf), CostInterval(0.0, math.inf), math.inf
@@ -261,8 +263,8 @@ class _CostWalk:
         if isinstance(program, UnitaryApp):
             extent = self._arity_dim(program.qubits)
             return CostInterval.exact(_mul(2.0 * extent, total_sq))
-        if isinstance(program, Seq):
-            return self.density(program.first) + self.density(program.second)
+        if isinstance(program, (Seq, Sum)):
+            return sum(map(self.density, program.children()), CostInterval.zero())
         if isinstance(program, Case):
             outcomes = len(program.branches)
             guard = _mul(2.0 * float(outcomes) * self._arity_dim(program.qubits), total_sq)
@@ -278,8 +280,6 @@ class _CostWalk:
             body = self.density(program.body)
             bound = float(program.bound)
             return CostInterval(_mul(bound, guard + body.lo), _mul(bound, guard + body.hi))
-        if isinstance(program, Sum):
-            return self.density(program.left) + self.density(program.right)
         return CostInterval(0.0, math.inf)
 
     # -- unroll depth --------------------------------------------------------------
@@ -288,13 +288,13 @@ class _CostWalk:
         if isinstance(program, (Abort, Skip, Init, UnitaryApp)):
             return 1.0
         if isinstance(program, Seq):
-            return self.depth(program.first) + self.depth(program.second)
+            return sum(map(self.depth, program.statements))
         if isinstance(program, Case):
             return 1.0 + max(self.depth(branch) for _, branch in program.branches)
         if isinstance(program, While):
             return _mul(float(program.bound), 1.0 + self.depth(program.body))
         if isinstance(program, Sum):
-            return max(self.depth(program.left), self.depth(program.right))
+            return max(map(self.depth, program.summands))
         return 1.0
 
 

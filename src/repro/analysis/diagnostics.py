@@ -6,7 +6,7 @@ returning bare strings.  This module gives them one vocabulary:
 * :class:`Diagnostic` — an immutable finding with a :class:`Severity`, a
   stable machine-readable code (``RPR001`` …), a human message, and the
   *program path* of the offending node (a tuple of child labels from the
-  root, e.g. ``("first", "branch[1]", "second")``), so tools can point at
+  root, e.g. ``("statement[0]", "branch[1]", "statement[2]")``), so tools can point at
   the exact subprogram without source spans;
 * :class:`DiagnosticBag` — an ordered collector that analyses append to
   and callers query (``has_errors``, ``max_severity``) or render
@@ -48,9 +48,10 @@ class Diagnostic:
     """One immutable analysis finding.
 
     ``path`` addresses the offending node from the program root via child
-    labels (``"first"``/``"second"`` for ``Seq``, ``"branch[m]"`` for
-    ``case`` arms, ``"body"`` for ``while``, ``"left"``/``"right"`` for
-    ``+``); an empty path means the root.  ``node`` carries the subprogram
+    labels (``"statement[i]"`` for the statements of a ``;`` chain,
+    ``"branch[m]"`` for ``case`` arms, ``"body"`` for ``while``,
+    ``"summand[i]"`` for the summands of a ``+`` chain); an empty path means
+    the root.  ``node`` carries the subprogram
     itself for programmatic consumers but does not participate in equality,
     so structurally identical findings on distinct parses compare equal.
     ``source`` names the file (or other origin) when the program came from

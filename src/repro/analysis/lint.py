@@ -248,8 +248,9 @@ def _walk_known_zero(
     if isinstance(node, UnitaryApp):
         return zeroed - set(node.qubits)
     if isinstance(node, Seq):
-        mid = _walk_known_zero(ctx, node.first, path + ("first",), zeroed)
-        return _walk_known_zero(ctx, node.second, path + ("second",), mid)
+        for label, statement in zip(child_labels(node), node.statements):
+            zeroed = _walk_known_zero(ctx, statement, path + (label,), zeroed)
+        return zeroed
     if isinstance(node, Case):
         if set(node.qubits) <= zeroed:
             operators = dict(zip(node.measurement.outcomes, node.measurement.operators))
@@ -276,9 +277,12 @@ def _walk_known_zero(
         _walk_known_zero(ctx, node.body, path + ("body",), set(inside))
         return inside
     if isinstance(node, Sum):
-        left = _walk_known_zero(ctx, node.left, path + ("left",), set(zeroed))
-        right = _walk_known_zero(ctx, node.right, path + ("right",), set(zeroed))
-        return left & right
+        return set.intersection(
+            *(
+                _walk_known_zero(ctx, summand, path + (label,), set(zeroed))
+                for label, summand in zip(child_labels(node), node.summands)
+            )
+        )
     return set()
 
 
@@ -318,7 +322,7 @@ def _saturating_bounds(ctx: LintContext) -> None:
 def _straight_line_runs(
     program: Program,
 ) -> Iterable[list[tuple[tuple[str, ...], UnitaryApp]]]:
-    """Maximal runs of consecutive gate applications along ``Seq`` spines.
+    """Maximal runs of consecutive gate applications of one ``Seq``.
 
     A run is broken by any non-gate statement; gates inside branches, loop
     bodies and summands form their own runs.
@@ -333,17 +337,14 @@ def _straight_line_runs(
         current = []
 
     def spine(node: Program, path: tuple[str, ...]) -> None:
-        if isinstance(node, Seq):
-            spine(node.first, path + ("first",))
-            spine(node.second, path + ("second",))
-            return
         if isinstance(node, UnitaryApp):
             current.append((path, node))
             return
         flush()
         for label, child in zip(child_labels(node), node.children()):
             spine(child, path + (label,))
-            flush()
+            if not isinstance(node, Seq):
+                flush()
 
     spine(program, ())
     flush()

@@ -163,8 +163,10 @@ class _Survey:
             touched.update(program.qubits)
             return 1
         if isinstance(program, Seq):
-            first = self.walk(program.first, touched)
-            return _saturating_mul(first, self.walk(program.second, touched))
+            bound = 1
+            for statement in program.statements:
+                bound = _saturating_mul(bound, self.walk(statement, touched))
+            return bound
         if isinstance(program, Case):
             self._block(f"measurement-controlled case on {list(program.qubits)}")
             touched.update(program.qubits)
@@ -192,8 +194,10 @@ class _Survey:
         if isinstance(program, Sum):
             self._block("additive choice '+' (multiset semantics)")
             self.additive = True
-            left = self.walk(program.left, touched)
-            return _saturating_add(left, self.walk(program.right, touched))
+            bound = 0
+            for summand in program.summands:
+                bound = _saturating_add(bound, self.walk(summand, touched))
+            return bound
         self.unknown = True
         self._block(f"unknown program node {type(program).__name__}")
         return BRANCH_BOUND_CAP

@@ -49,18 +49,12 @@ def occurrence_count(program: Program, parameter: Parameter) -> int:
         return 0
     if isinstance(program, UnitaryApp):
         return 1 if program.gate.uses(parameter) else 0
-    if isinstance(program, Seq):
-        return occurrence_count(program.first, parameter) + occurrence_count(
-            program.second, parameter
-        )
+    if isinstance(program, (Seq, Sum)):
+        return sum(occurrence_count(child, parameter) for child in program.children())
     if isinstance(program, Case):
         return max(occurrence_count(branch, parameter) for _, branch in program.branches)
     if isinstance(program, While):
         return program.bound * occurrence_count(program.body, parameter)
-    if isinstance(program, Sum):
-        return occurrence_count(program.left, parameter) + occurrence_count(
-            program.right, parameter
-        )
     raise SemanticsError(f"unknown program node {type(program).__name__}")
 
 
@@ -80,14 +74,12 @@ def gate_count(program: Program) -> int:
         return 0
     if isinstance(program, UnitaryApp):
         return 1
-    if isinstance(program, Seq):
-        return gate_count(program.first) + gate_count(program.second)
+    if isinstance(program, (Seq, Sum)):
+        return sum(map(gate_count, program.children()))
     if isinstance(program, Case):
         return sum(gate_count(branch) for _, branch in program.branches)
     if isinstance(program, While):
         return program.bound * gate_count(program.body)
-    if isinstance(program, Sum):
-        return gate_count(program.left) + gate_count(program.right)
     raise SemanticsError(f"unknown program node {type(program).__name__}")
 
 
@@ -113,11 +105,10 @@ def _depth_map(program: Program) -> dict[str, int]:
     if isinstance(program, UnitaryApp):
         return {q: 1 for q in program.qubits}
     if isinstance(program, Seq):
-        first = _depth_map(program.first)
-        second = _depth_map(program.second)
-        merged = dict(first)
-        for qubit, depth in second.items():
-            merged[qubit] = merged.get(qubit, 0) + depth
+        merged: dict[str, int] = {}
+        for statement in program.statements:
+            for qubit, depth in _depth_map(statement).items():
+                merged[qubit] = merged.get(qubit, 0) + depth
         return merged
     if isinstance(program, (Case, While)):
         if isinstance(program, Case):
@@ -132,11 +123,10 @@ def _depth_map(program: Program) -> dict[str, int]:
                 merged[qubit] = max(merged.get(qubit, 0), depth * repetitions + 1)
         return merged
     if isinstance(program, Sum):
-        left = _depth_map(program.left)
-        right = _depth_map(program.right)
-        merged = dict(left)
-        for qubit, depth in right.items():
-            merged[qubit] = max(merged.get(qubit, 0), depth)
+        merged = {}
+        for summand in program.summands:
+            for qubit, depth in _depth_map(summand).items():
+                merged[qubit] = max(merged.get(qubit, 0), depth)
         return merged
     raise SemanticsError(f"unknown program node {type(program).__name__}")
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.errors import TransformError
 from repro.lang.ast import Program, Seq, UnitaryApp
-from repro.lang.builder import seq
 from repro.lang.gates import (
     ControlledCoupling,
     ControlledRotation,
@@ -41,7 +40,7 @@ ANCILLA_OBSERVABLE = np.array([[1, 0], [0, -1]], dtype=complex)
 def rotation_prime(axis: str, angle: Parameter | float, ancilla: str, qubit: str) -> Program:
     """Build the gadget program ``R'_σ(θ)[A, q]`` for a single-qubit rotation."""
     h = UnitaryApp(hadamard(), (ancilla,))
-    return seq([h, UnitaryApp(ControlledRotation(axis, angle), (ancilla, qubit)), h])
+    return Seq(h, UnitaryApp(ControlledRotation(axis, angle), (ancilla, qubit)), h)
 
 
 def coupling_prime(
@@ -53,7 +52,7 @@ def coupling_prime(
 ) -> Program:
     """Build the gadget program ``R'_{σ⊗σ}(θ)[A, q1, q2]`` for a two-qubit coupling."""
     h = UnitaryApp(hadamard(), (ancilla,))
-    return seq([h, UnitaryApp(ControlledCoupling(axis, angle), (ancilla, qubit1, qubit2)), h])
+    return Seq(h, UnitaryApp(ControlledCoupling(axis, angle), (ancilla, qubit1, qubit2)), h)
 
 
 def differentiation_gadget(statement: UnitaryApp, ancilla: str) -> Program:

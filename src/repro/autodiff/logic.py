@@ -11,7 +11,10 @@ differential semantics of ``S``" (Definition 5.3).  This module provides
   is verified against its rule's side conditions and the way its conclusion
   must be assembled from the premises.  It does *not* call the code
   transformation, so it is an independent witness that the transformation's
-  output is derivable;
+  output is derivable.  The Sequence rule is n-ary, like the ``Seq`` node:
+  ``∂(S₁;…;Sₙ) | S₁;…;Sₙ`` has one premise ``∂Sᵢ | Sᵢ`` per statement that
+  uses θ_j, its conclusion is ``Σᵢ (S₁;…;∂Sᵢ;…;Sₙ)`` over them, last
+  statement first, and θ_j may occur in no other statement;
 * :func:`validate_soundness` — the semantic (numerical) counterpart of
   Theorem 6.2: it compares the observable semantics of ``S′`` (with the
   ancilla observable ``Z_A``) against a finite-difference evaluation of the
@@ -23,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.errors import LogicError
 from repro.lang.ast import (
@@ -39,6 +40,7 @@ from repro.lang.ast import (
     While,
     abort_over,
 )
+from repro.lang.builder import sum_programs
 from repro.lang.gates import Coupling, Rotation
 from repro.lang.parameters import Parameter, ParameterBinding
 from repro.linalg.observables import Observable
@@ -118,13 +120,11 @@ def _derive(program: Program, context: DifferentiationContext) -> Derivation:
             return conclude("Trivial-Unitary", context.trivial_abort())
         return conclude("Rot-Couple", differentiation_gadget(program, context.ancilla))
     if isinstance(program, Seq):
-        left = _derive(program.first, context)
-        right = _derive(program.second, context)
-        derivative = Sum(
-            Seq(program.first, right.judgement.derivative),
-            Seq(left.judgement.derivative, program.second),
+        premises = tuple(
+            _derive(program.statements[index], context) for index in _using(program, parameter)
         )
-        return conclude("Sequence", derivative, (left, right))
+        derivative = _sequence_derivative(program, premises, context)
+        return conclude("Sequence", derivative, premises)
     if isinstance(program, Case):
         premises = tuple(_derive(branch, context) for _, branch in program.branches)
         derivative = Case(
@@ -141,37 +141,53 @@ def _derive(program: Program, context: DifferentiationContext) -> Derivation:
         derivative = _while_derivative(program, body.judgement.derivative, context)
         return conclude("While", derivative, (body,))
     if isinstance(program, Sum):
-        left = _derive(program.left, context)
-        right = _derive(program.right, context)
-        derivative = Sum(left.judgement.derivative, right.judgement.derivative)
-        return conclude("Sum-Component", derivative, (left, right))
+        premises = tuple(_derive(summand, context) for summand in program.summands)
+        derivative = Sum(*(premise.judgement.derivative for premise in premises))
+        return conclude("Sum-Component", derivative, premises)
     raise LogicError(f"unknown program node {type(program).__name__}")
+
+
+def _using(program: Seq, parameter: Parameter) -> list[int]:
+    """The positions of a sequence's statements that use ``parameter``."""
+    return [index for index, s in enumerate(program.statements) if parameter in s.parameters()]
+
+
+def _sequence_derivative(
+    program: Seq, premises: Sequence[Derivation], context: DifferentiationContext
+) -> Program:
+    """The Sequence rule's conclusion ``Σᵢ (S₁;…;∂Sᵢ;…;Sₙ)``, last statement
+    first, from one premise per statement that uses θ_j, in order; the
+    Trivial ``abort[v ∪ {A}]`` when no statement does."""
+    statements = program.statements
+    members = [
+        Seq(*statements[:index], premise.judgement.derivative, *statements[index + 1 :])
+        for index, premise in reversed(list(zip(_using(program, context.parameter), premises)))
+    ]
+    return sum_programs(members) if members else context.trivial_abort()
 
 
 def _while_derivative(loop: While, body_derivative: Program, context: DifferentiationContext) -> Program:
     """Assemble ``∂(while(T))`` from ``∂(body)`` following the macro expansion.
 
-    ``∂(while(T))`` is the ``Seq_T`` program of Appendix D, obtained by
-    unfolding ``while(T)`` into its case/sequence macro and applying the
-    Case/Sequence/Trivial rules; here it is assembled directly from the body
-    and the already-derived body derivative.
+    ``∂(while(T))`` is the ``Seq_T`` program of Appendix D: unfold
+    ``while(T)`` into its case/sequence macro and apply the Case, Sequence
+    and Trivial rules with the body as one statement.  The 0-branch is
+    ``abort[v ∪ {A}]``; the 1-branch is ``(P; ∂while(T−1)) + (∂P;
+    while(T−1))``, ``∂P; abort[v]`` at ``T = 1``, and ``abort[v ∪ {A}]``
+    when the body ``P`` does not use θ_j.
     """
-    if loop.bound == 1:
-        continuation: Program = Sum(
-            Seq(loop.body, context.trivial_abort()),
-            Seq(body_derivative, abort_over(loop.qvars())),
-        )
+    trivial = context.trivial_abort()
+    if context.parameter not in loop.parameters():
+        continuation: Program = trivial
+    elif loop.bound == 1:
+        continuation = Seq(body_derivative, abort_over(loop.qvars()))
     else:
         smaller = While(loop.measurement, loop.qubits, loop.body, loop.bound - 1)
         continuation = Sum(
             Seq(loop.body, _while_derivative(smaller, body_derivative, context)),
             Seq(body_derivative, smaller),
         )
-    return Case(
-        loop.measurement,
-        loop.qubits,
-        {0: context.trivial_abort(), 1: continuation},
-    )
+    return Case(loop.measurement, loop.qubits, {0: trivial, 1: continuation})
 
 
 # -- derivation checking ----------------------------------------------------------------
@@ -245,14 +261,15 @@ def _check(derivation: Derivation, context: DifferentiationContext) -> None:
     elif rule == "Sequence":
         if not isinstance(original, Seq):
             raise LogicError("Sequence rule applied to a non-sequence program")
-        _expect(len(derivation.premises) == 2, rule, "exactly two premises required")
-        left, right = derivation.premises
-        _expect(left.judgement.original == original.first, rule, "first premise mismatch")
-        _expect(right.judgement.original == original.second, rule, "second premise mismatch")
-        expected = Sum(
-            Seq(original.first, right.judgement.derivative),
-            Seq(left.judgement.derivative, original.second),
+        # One premise per statement that uses θ_j, in order: every statement
+        # without one must satisfy the side condition θ_j ∉ θ(Sᵢ).
+        _expect(
+            [premise.judgement.original for premise in derivation.premises]
+            == [original.statements[index] for index in _using(original, parameter)],
+            rule,
+            "premises must be the statements that use the parameter, in order",
         )
+        expected = _sequence_derivative(original, derivation.premises, context)
         _expect(derivative == expected, rule, "conclusion must follow the product rule")
     elif rule == "Case":
         if not isinstance(original, Case):
@@ -288,11 +305,13 @@ def _check(derivation: Derivation, context: DifferentiationContext) -> None:
     elif rule == "Sum-Component":
         if not isinstance(original, Sum):
             raise LogicError("Sum-Component rule applied to a non-additive program")
-        _expect(len(derivation.premises) == 2, rule, "exactly two premises required")
-        left, right = derivation.premises
-        _expect(left.judgement.original == original.left, rule, "left premise mismatch")
-        _expect(right.judgement.original == original.right, rule, "right premise mismatch")
-        expected = Sum(left.judgement.derivative, right.judgement.derivative)
+        _expect(
+            tuple(premise.judgement.original for premise in derivation.premises)
+            == original.summands,
+            rule,
+            "premises must be the summands, in order",
+        )
+        expected = Sum(*(premise.judgement.derivative for premise in derivation.premises))
         _expect(derivative == expected, rule, "conclusion must be the sum of premise derivatives")
     else:
         raise LogicError(f"unknown rule {rule!r}")

@@ -9,13 +9,26 @@ is a fresh one-qubit ancilla.  The rules:
   not depend on θ_j, so the derivative program contributes nothing);
 * **1-qb / 2-qb** — a rotation/coupling using θ_j transforms to the gadget
   ``R'``/``R'_{σ⊗σ}`` of Definition 6.1;
-* **Sequence** — the quantum product rule
-  ``∂(S₁;S₂) = (S₁; ∂S₂) + (∂S₁; S₂)``, expressed with the additive choice
-  because no-cloning forbids running both summands on one copy of the state;
+* **Sequence** — the quantum product rule ``∂(S₁;…;Sₙ) = Σᵢ
+  (S₁;…;∂Sᵢ;…;Sₙ)``, expressed with the additive choice because no-cloning
+  forbids running the summands on one copy of the state.  The sum runs over
+  only the ``Sᵢ`` that use θ_j, last statement first (the order the binary
+  rule ``(S₁;∂S₂) + (∂S₁;S₂)`` yields along any nesting), and is the Trivial
+  ``abort[v ∪ {A}]`` when none does: any other member holds an essentially
+  aborting ``∂Sᵢ``, which the Figure 3 compile drops anyway;
 * **Case** — differentiate each branch under the same guard;
-* **While(T)** — differentiate the case/sequence macro expansion
-  (Eq. 3.1 / the ``Seq_T`` program of Appendix D);
-* **S-C** — ``∂(S₁+S₂) = ∂S₁ + ∂S₂``.
+* **While(T)** — the rules above on the macro expansion (Eq. 3.1 / the
+  ``Seq_T`` program of Appendix D) with the body ``P`` as one statement:
+  the 1-branch is ``(P; ∂while(T−1)) + (∂P; while(T−1))``, or ``∂P;
+  abort[v]`` at ``T = 1``, and ``∂P`` is built once;
+* **S-C** — ``∂(S₁+…+Sₙ) = ∂S₁ + … + ∂Sₙ``.
+
+Compiled, this gives the binary rules' multiset member for member on θ₁ of
+every Table 3 instance and every parameter of P1–P3.  Elsewhere a member
+may keep a ``case`` branch that essentially aborts where the binary rules'
+fill-and-break wrote its filler ``abort`` (a ``case`` whose derivative is a
+normal program compiles as itself); both are the zero map, and the
+non-aborting counts agree.
 
 The transformation itself never needs the parameter's numeric value; it is a
 purely syntactic compile-time step, exactly as in classical source-to-source
@@ -42,9 +55,9 @@ from repro.lang.ast import (
     While,
     abort_over,
 )
-from repro.lang.parameters import Parameter
-from repro.lang.traversal import unfold_while
+from repro.lang.builder import sum_programs
 from repro.lang.gates import Coupling, Rotation
+from repro.lang.parameters import Parameter
 from repro.autodiff.gadgets import differentiation_gadget
 
 
@@ -130,10 +143,14 @@ def _transform(program: Program, context: DifferentiationContext) -> Program:
     if isinstance(program, UnitaryApp):
         return _transform_unitary(program, context)
     if isinstance(program, Seq):
-        # (Sequence): ∂(S1; S2) ≡ (S1; ∂S2) + (∂S1; S2).
-        first_kept = Seq(program.first, _transform(program.second, context))
-        second_kept = Seq(_transform(program.first, context), program.second)
-        return Sum(first_kept, second_kept)
+        # (Sequence): ∂(S₁;…;Sₙ) ≡ Σᵢ (S₁;…;∂Sᵢ;…;Sₙ) over the Sᵢ that use θ.
+        statements = program.statements
+        members = [
+            Seq(*statements[:index], _transform(statement, context), *statements[index + 1 :])
+            for index, statement in reversed(list(enumerate(statements)))
+            if context.parameter in statement.parameters()
+        ]
+        return sum_programs(members) if members else context.trivial_abort()
     if isinstance(program, Case):
         # (Case): differentiate every branch under the same guard.
         return Case(
@@ -143,11 +160,25 @@ def _transform(program: Program, context: DifferentiationContext) -> Program:
         )
     if isinstance(program, While):
         # (While(T)): differentiate the case/sequence macro expansion.
-        return _transform(unfold_while(program), context)
+        return _transform_while(program, context)
     if isinstance(program, Sum):
         # (S-C): ∂ distributes over the additive choice.
-        return Sum(_transform(program.left, context), _transform(program.right, context))
+        return Sum(*(_transform(summand, context) for summand in program.summands))
     raise TransformError(f"unknown program node {type(program).__name__}")
+
+
+def _transform_while(loop: While, context: DifferentiationContext) -> Case:
+    """``∂(while(T))``, unfolding by unfolding from ``while(1)`` outwards."""
+    trivial = context.trivial_abort()
+    if context.parameter not in loop.parameters():
+        return Case(loop.measurement, loop.qubits, {0: trivial, 1: trivial})
+    body_derivative = _transform(loop.body, context)
+    continuation: Program = Seq(body_derivative, abort_over(loop.qvars()))
+    for bound in range(1, loop.bound):
+        smaller = While(loop.measurement, loop.qubits, loop.body, bound)
+        derivative = Case(loop.measurement, loop.qubits, {0: trivial, 1: continuation})
+        continuation = Sum(Seq(loop.body, derivative), Seq(body_derivative, smaller))
+    return Case(loop.measurement, loop.qubits, {0: trivial, 1: continuation})
 
 
 def _transform_unitary(statement: UnitaryApp, context: DifferentiationContext) -> Program:

@@ -32,7 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import TransformError
-from repro.lang.ast import Program, Seq, Skip, UnitaryApp
+from repro.lang.ast import Program, UnitaryApp
+from repro.lang.builder import seq
 from repro.lang.gates import Coupling, Rotation
 from repro.lang.parameters import Parameter, ParameterBinding
 from repro.lang.traversal import is_circuit
@@ -48,47 +49,18 @@ def _require_circuit(program: Program) -> None:
         )
 
 
-def _shift_occurrence(program: Program, occurrence: int, parameter: Parameter, shifted_value: float):
-    """Return a copy of the circuit in which only the ``occurrence``-th use of the
-    parameter is replaced by the fixed angle ``shifted_value``.
-
-    Returns ``(new_program, remaining_counter)``; the counter is used by the
-    recursion to locate the occurrence.
-    """
-    if isinstance(program, UnitaryApp):
-        gate = program.gate
-        if isinstance(gate, (Rotation, Coupling)) and gate.uses(parameter):
-            if occurrence == 0:
-                replacement = (
-                    Rotation(gate.axis, shifted_value)
-                    if isinstance(gate, Rotation)
-                    else Coupling(gate.axis, shifted_value)
-                )
-                return UnitaryApp(replacement, program.qubits), -1
-            return program, occurrence - 1
-        if gate.uses(parameter):
-            raise TransformError(
-                f"gate {gate.display()} uses the parameter but is not a rotation/coupling; "
-                "the parameter-shift rule does not apply"
-            )
-        return program, occurrence
-    if isinstance(program, Seq):
-        first, occurrence = _shift_occurrence(program.first, occurrence, parameter, shifted_value)
-        if occurrence < 0:
-            return Seq(first, program.second), -1
-        second, occurrence = _shift_occurrence(program.second, occurrence, parameter, shifted_value)
-        return Seq(first, second), occurrence
-    if isinstance(program, Skip):
-        return program, occurrence
-    raise TransformError(f"unexpected node {type(program).__name__} in a circuit program")
-
-
-def _occurrences(program: Program, parameter: Parameter) -> int:
-    if isinstance(program, UnitaryApp):
-        return 1 if program.gate.uses(parameter) else 0
-    if isinstance(program, Seq):
-        return _occurrences(program.first, parameter) + _occurrences(program.second, parameter)
-    return 0
+def _shifted(statements: tuple[Program, ...], position: int, shifted_value: float) -> Program:
+    """The circuit ``statements`` with the rotation or coupling at
+    ``position`` set to the fixed angle ``shifted_value``."""
+    statement = statements[position]
+    gate = statement.gate
+    if not isinstance(gate, (Rotation, Coupling)):
+        raise TransformError(
+            f"gate {gate.display()} uses the parameter but is not a rotation/coupling; "
+            "the parameter-shift rule does not apply"
+        )
+    replacement = UnitaryApp(type(gate)(gate.axis, shifted_value), statement.qubits)
+    return seq([*statements[:position], replacement, *statements[position + 1 :]])
 
 
 def _resolve(backend):
@@ -128,11 +100,14 @@ def phase_shift_derivative(
     _require_circuit(program)
     backend = _resolve(backend)
     total = 0.0
-    count = _occurrences(program, parameter)
+    # A circuit is one statement or one flat sequence of gates and skips.
+    statements = program.children() or (program,)
     theta = binding[parameter]
-    for occurrence in range(count):
-        plus_program, _ = _shift_occurrence(program, occurrence, parameter, theta + shift)
-        minus_program, _ = _shift_occurrence(program, occurrence, parameter, theta - shift)
+    for position, statement in enumerate(statements):
+        if not isinstance(statement, UnitaryApp) or not statement.gate.uses(parameter):
+            continue
+        plus_program = _shifted(statements, position, theta + shift)
+        minus_program = _shifted(statements, position, theta - shift)
         plus = _evaluate(plus_program, observable, state, binding, backend)
         minus = _evaluate(minus_program, observable, state, binding, backend)
         total += 0.5 * (plus - minus)

@@ -13,6 +13,13 @@ them.  The same node classes serve both languages — the paper's additive
 language is a strict superset — and :func:`repro.lang.wellformed.
 assert_normal_program` enforces the distinction where it matters.
 
+``;`` and ``+`` are associative, so :class:`Seq` and :class:`Sum` are
+n-ary: ``Seq(S₁, …, Sₙ)`` holds its statements in one flat tuple, splicing
+in any ``Seq`` it is given, and ``Sum`` does the same with its summands.
+A chain of any nesting is one node, every walker loops over its children
+instead of recursing once per statement, and the tree has one shape per
+program text.
+
 All nodes are immutable; program transformations build new trees.  Each
 constructor stores the node's *facts*, built from its children's stored
 facts without recursing: qVar (Appendix B.1), the parameters, additivity,
@@ -24,11 +31,13 @@ from a second one (:func:`abort_over`).  Equal nodes may therefore be one
 object: compare nodes with ``==``.  Results derived from a node — analysis
 reports, its wire digest, its compiled multiset — live in the node's own
 :attr:`Program.memo`.  Pickling re-runs the constructor, so facts and memos
-never enter a pickle.
+never enter a pickle; a ``Seq`` or ``Sum`` pickles as its flat tuple of
+children.  Variable names are interned, so equal programs pickle alike.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
@@ -56,8 +65,9 @@ def _join(a: frozenset, b: frozenset) -> frozenset:
     return _shared(a | b)
 
 
-#: How a constructor sets the fields and facts of its frozen node.
-_set = object.__setattr__
+def _store(node: "Program", **values) -> None:
+    """Set a frozen node's fields and facts, once, in its constructor."""
+    vars(node).update(values)
 
 
 class Program:
@@ -120,8 +130,7 @@ class Abort(Program):
 
     def __init__(self, qubits: Sequence[str]):
         qubits = _normalize_qubits(qubits)
-        _set(self, "qubits", qubits)
-        _set(self, "_qvars", _shared(frozenset(qubits)))
+        _store(self, qubits=qubits, _qvars=_shared(frozenset(qubits)))
 
 
 @dataclass(frozen=True)
@@ -132,8 +141,7 @@ class Skip(Program):
 
     def __init__(self, qubits: Sequence[str]):
         qubits = _normalize_qubits(qubits)
-        _set(self, "qubits", qubits)
-        _set(self, "_qvars", _shared(frozenset(qubits)))
+        _store(self, qubits=qubits, _qvars=_shared(frozenset(qubits)))
 
 
 @dataclass(frozen=True)
@@ -145,9 +153,8 @@ class Init(Program):
     def __init__(self, qubit: str):
         if not qubit:
             raise WellFormednessError("initialization requires a variable name")
-        qubit = str(qubit)
-        _set(self, "qubit", qubit)
-        _set(self, "_qvars", _shared(frozenset((qubit,))))
+        qubit = _name(qubit)
+        _store(self, qubit=qubit, _qvars=_shared(frozenset((qubit,))))
 
 
 @dataclass(frozen=True)
@@ -164,29 +171,42 @@ class UnitaryApp(Program):
                 f"gate {gate.display()} acts on {gate.arity} qubit(s) "
                 f"but {len(qubits)} were given: {qubits}"
             )
-        _set(self, "gate", gate)
-        _set(self, "qubits", qubits)
-        _set(self, "_qvars", _shared(frozenset(qubits)))
-        _set(self, "_parameters", _shared(frozenset(gate.parameters())))
+        _store(
+            self,
+            gate=gate,
+            qubits=qubits,
+            _qvars=_shared(frozenset(qubits)),
+            _parameters=_shared(frozenset(gate.parameters())),
+        )
 
 
 @dataclass(frozen=True)
 class Seq(Program):
-    """``P₁(θ); P₂(θ)`` — sequential composition."""
+    """``S₁(θ); …; Sₙ(θ)`` — sequential composition of ``n ≥ 2`` statements.
 
-    first: Program
-    second: Program
+    ``;`` is associative, so the node is n-ary: a ``Seq`` given as a
+    statement is spliced in, and ``Seq(Seq(a, b), c) == Seq(a, Seq(b, c))``.
+    No statement of a ``Seq`` is itself a ``Seq``.
+    """
 
-    def __init__(self, first: Program, second: Program):
-        _set(self, "first", first)
-        _set(self, "second", second)
-        _set(self, "_qvars", _join(first._qvars, second._qvars))
-        _set(self, "_parameters", _join(first._parameters, second._parameters))
-        _set(self, "_additive", first._additive or second._additive)
-        _set(self, "_aborts", first._aborts or second._aborts)
+    statements: tuple[Program, ...]
+
+    def __init__(self, *statements: Program):
+        statements = _spliced(Seq, statements)
+        _store(
+            self,
+            statements=statements,
+            _qvars=reduce(_join, (s._qvars for s in statements)),
+            _parameters=reduce(_join, (s._parameters for s in statements)),
+            _additive=any(s._additive for s in statements),
+            _aborts=any(s._aborts for s in statements),
+        )
 
     def children(self) -> tuple[Program, ...]:
-        return (self.first, self.second)
+        return self.statements
+
+    def __reduce__(self):
+        return (Seq, self.statements)
 
 
 @dataclass(frozen=True)
@@ -221,14 +241,16 @@ class Case(Program):
                 f"{sorted(measurement.outcomes)}"
             )
         programs = [program for _, program in items]
-        _set(self, "measurement", measurement)
-        _set(self, "qubits", qubits)
-        _set(self, "branches", items)
-        qvars = reduce(_join, (p._qvars for p in programs), _shared(frozenset(qubits)))
-        _set(self, "_qvars", qvars)
-        _set(self, "_parameters", reduce(_join, (p._parameters for p in programs), _EMPTY))
-        _set(self, "_additive", any(p._additive for p in programs))
-        _set(self, "_aborts", all(p._aborts for p in programs))
+        _store(
+            self,
+            measurement=measurement,
+            qubits=qubits,
+            branches=items,
+            _qvars=reduce(_join, (p._qvars for p in programs), _shared(frozenset(qubits))),
+            _parameters=reduce(_join, (p._parameters for p in programs), _EMPTY),
+            _additive=any(p._additive for p in programs),
+            _aborts=all(p._aborts for p in programs),
+        )
 
     def branch(self, outcome: int) -> Program:
         """Return the program executed for a given measurement outcome."""
@@ -273,13 +295,16 @@ class While(Program):
                 "the guard measurement of a while loop must have outcomes {0, 1}, "
                 f"got {sorted(measurement.outcomes)}"
             )
-        _set(self, "measurement", measurement)
-        _set(self, "qubits", qubits)
-        _set(self, "body", body)
-        _set(self, "bound", bound)
-        _set(self, "_qvars", _join(_shared(frozenset(qubits)), body._qvars))
-        _set(self, "_parameters", body._parameters)
-        _set(self, "_additive", body._additive)
+        _store(
+            self,
+            measurement=measurement,
+            qubits=qubits,
+            body=body,
+            bound=bound,
+            _qvars=_join(_shared(frozenset(qubits)), body._qvars),
+            _parameters=body._parameters,
+            _additive=body._additive,
+        )
 
     def children(self) -> tuple[Program, ...]:
         return (self.body,)
@@ -287,22 +312,45 @@ class While(Program):
 
 @dataclass(frozen=True)
 class Sum(Program):
-    """``P₁(θ) + P₂(θ)`` — the additive (either-or) choice of Section 4."""
+    """``P₁(θ) + … + Pₙ(θ)`` — the additive (either-or) choice of Section 4.
 
-    left: Program
-    right: Program
+    Like :class:`Seq`, n-ary (``n ≥ 2``) with nested sums spliced in: ``+``
+    is associative, and the compiled multiset is the union of the summands'.
+    """
+
+    summands: tuple[Program, ...]
 
     _additive = True
 
-    def __init__(self, left: Program, right: Program):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_qvars", _join(left._qvars, right._qvars))
-        _set(self, "_parameters", _join(left._parameters, right._parameters))
-        _set(self, "_aborts", left._aborts and right._aborts)
+    def __init__(self, *summands: Program):
+        summands = _spliced(Sum, summands)
+        _store(
+            self,
+            summands=summands,
+            _qvars=reduce(_join, (s._qvars for s in summands)),
+            _parameters=reduce(_join, (s._parameters for s in summands)),
+            _aborts=all(s._aborts for s in summands),
+        )
 
     def children(self) -> tuple[Program, ...]:
-        return (self.left, self.right)
+        return self.summands
+
+    def __reduce__(self):
+        return (Sum, self.summands)
+
+
+def _spliced(node_type: type, parts: tuple[Program, ...]) -> tuple[Program, ...]:
+    """``parts`` with every ``node_type`` child replaced by its own children,
+    which are flat already; at least two remain."""
+    if any(type(part) is node_type for part in parts):
+        parts = tuple(
+            child
+            for part in parts
+            for child in (part.children() if type(part) is node_type else (part,))
+        )
+    if len(parts) < 2:
+        raise WellFormednessError(f"{node_type.__name__} needs at least two children")
+    return parts
 
 
 def abort_over(variables: Iterable[str]) -> Abort:
@@ -321,10 +369,16 @@ def _interned_abort(variables: frozenset) -> Abort:
     return Abort(sorted(variables))
 
 
+def _name(qubit) -> str:
+    """A variable name as the one interned string of its content, so equal
+    programs pickle, and so digest, alike however their names were made."""
+    return sys.intern(str(qubit))
+
+
 def _normalize_qubits(qubits: Sequence[str]) -> tuple[str, ...]:
     if isinstance(qubits, str):
         qubits = (qubits,)
-    names = tuple(map(str, qubits))
+    names = tuple(map(_name, qubits))
     if not names:
         raise WellFormednessError("a statement must mention at least one quantum variable")
     if "" in names:

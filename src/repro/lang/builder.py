@@ -22,29 +22,22 @@ Angle = Parameter | float
 
 
 def seq(programs: Sequence[Program]) -> Program:
-    """Sequence a non-empty list of programs, associating to the left.
+    """Sequence a non-empty list of programs: ``seq([a, b, c])`` is ``a; b; c``.
 
-    ``seq([a, b, c])`` builds ``(a; b); c``; sequencing is associative at the
-    semantic level so the association choice is only a matter of tree shape.
+    One program is returned as it is; more build one flat :class:`Seq`.
     """
-    programs = list(programs)
+    programs = tuple(programs)
     if not programs:
         raise WellFormednessError("cannot sequence an empty list of programs")
-    result = programs[0]
-    for program in programs[1:]:
-        result = Seq(result, program)
-    return result
+    return programs[0] if len(programs) == 1 else Seq(*programs)
 
 
 def sum_programs(programs: Sequence[Program]) -> Program:
-    """Combine programs with the additive choice ``+``, associating to the left."""
-    programs = list(programs)
+    """Combine a non-empty list of programs with the additive choice ``+``."""
+    programs = tuple(programs)
     if not programs:
         raise WellFormednessError("cannot sum an empty list of programs")
-    result = programs[0]
-    for program in programs[1:]:
-        result = Sum(result, program)
-    return result
+    return programs[0] if len(programs) == 1 else Sum(*programs)
 
 
 def apply_gate(gate: Gate, qubits: Sequence[str] | str) -> UnitaryApp:

@@ -263,10 +263,7 @@ class _Parser:
             summands.append(self._parse_block())
         if len(summands) < 2:
             raise self._error("an additive statement needs at least two summands")
-        result: Program = summands[0]
-        for summand in summands[1:]:
-            result = Sum(result, summand)
-        return result
+        return Sum(*summands)
 
     def _parse_block(self) -> Program:
         self._expect("LBRACE")

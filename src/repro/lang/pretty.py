@@ -68,7 +68,7 @@ def line_count(program: Program) -> int:
 def _lines(program: Program, depth: int) -> list[str]:
     pad = _INDENT * depth
     if isinstance(program, Seq):
-        statements = _flatten_seq(program)
+        statements = program.statements
         lines: list[str] = []
         for index, statement in enumerate(statements):
             chunk = _lines(statement, depth)
@@ -100,7 +100,7 @@ def _lines(program: Program, depth: int) -> list[str]:
         lines.append(f"{pad}done")
         return lines
     if isinstance(program, Sum):
-        summands = _flatten_sum(program)
+        summands = program.summands
         lines = [f"{pad}{{"]
         for index, summand in enumerate(summands):
             lines.extend(_lines(summand, depth + 1))
@@ -110,14 +110,3 @@ def _lines(program: Program, depth: int) -> list[str]:
         return lines
     raise WellFormednessError(f"cannot pretty-print node {type(program).__name__}")
 
-
-def _flatten_seq(program: Program) -> list[Program]:
-    if isinstance(program, Seq):
-        return _flatten_seq(program.first) + _flatten_seq(program.second)
-    return [program]
-
-
-def _flatten_sum(program: Program) -> list[Program]:
-    if isinstance(program, Sum):
-        return _flatten_sum(program.left) + _flatten_sum(program.right)
-    return [program]

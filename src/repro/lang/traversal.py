@@ -41,12 +41,12 @@ def child_labels(program: Program) -> tuple[str, ...]:
     """Human-readable labels of a node's children, aligned with ``children()``.
 
     Used by diagnostics to address a sub-program from the root as a *path*
-    of labels (``("first", "branch[1]", "body")``) instead of a raw index.
+    of labels (``("statement[0]", "branch[1]", "body")``).
     """
     if isinstance(program, Seq):
-        return ("first", "second")
+        return tuple(f"statement[{index}]" for index in range(len(program.statements)))
     if isinstance(program, Sum):
-        return ("left", "right")
+        return tuple(f"summand[{index}]" for index in range(len(program.summands)))
     if isinstance(program, Case):
         return tuple(f"branch[{outcome}]" for outcome, _ in program.branches)
     if isinstance(program, While):
@@ -93,10 +93,8 @@ def map_program(program: Program, transform: Callable[[Program], Program]) -> Pr
     """
     if isinstance(program, (Abort, Skip, Init, UnitaryApp)):
         rebuilt: Program = program
-    elif isinstance(program, Seq):
-        rebuilt = Seq(map_program(program.first, transform), map_program(program.second, transform))
-    elif isinstance(program, Sum):
-        rebuilt = Sum(map_program(program.left, transform), map_program(program.right, transform))
+    elif isinstance(program, (Seq, Sum)):
+        rebuilt = type(program)(*(map_program(child, transform) for child in program.children()))
     elif isinstance(program, Case):
         rebuilt = Case(
             program.measurement,
@@ -151,45 +149,6 @@ def fully_unfold_whiles(program: Program) -> Program:
         return node
 
     return map_program(program, expand)
-
-
-def reassociate(program: Program) -> Program:
-    """Normalize the association of ``;`` and ``+`` chains to the left.
-
-    Sequencing and the additive choice are associative; the concrete syntax
-    does not record how a chain was nested, so the parser always rebuilds
-    chains left-associatively.  ``reassociate`` puts an arbitrary AST into
-    that canonical form, which makes ``parse(pretty(P)) == reassociate(P)``
-    an exact identity.
-    """
-
-    def flatten(node: Program, node_type) -> list[Program]:
-        if isinstance(node, node_type):
-            left, right = node.children()
-            return flatten(left, node_type) + flatten(right, node_type)
-        return [reassociate(node)]
-
-    if isinstance(program, Seq):
-        parts = flatten(program, Seq)
-        result = parts[0]
-        for part in parts[1:]:
-            result = Seq(result, part)
-        return result
-    if isinstance(program, Sum):
-        parts = flatten(program, Sum)
-        result = parts[0]
-        for part in parts[1:]:
-            result = Sum(result, part)
-        return result
-    if isinstance(program, Case):
-        return Case(
-            program.measurement,
-            program.qubits,
-            [(m, reassociate(p)) for m, p in program.branches],
-        )
-    if isinstance(program, While):
-        return While(program.measurement, program.qubits, reassociate(program.body), program.bound)
-    return program
 
 
 def contains_while(program: Program) -> bool:

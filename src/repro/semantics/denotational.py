@@ -64,7 +64,9 @@ def _denote(program: Program, state: DensityState, binding: ParameterBinding | N
     if isinstance(program, UnitaryApp):
         return state.apply_unitary(bound_gate_matrix(program.gate, binding), program.qubits)
     if isinstance(program, Seq):
-        return _denote(program.second, _denote(program.first, state, binding), binding)
+        for statement in program.statements:
+            state = _denote(statement, state, binding)
+        return state
     if isinstance(program, Case):
         result = DensityState.null_state(state.layout)
         for outcome, branch in program.branches:

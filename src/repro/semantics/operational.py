@@ -27,6 +27,7 @@ from repro.lang.ast import (
     While,
     abort_over,
 )
+from repro.lang.builder import seq
 from repro.lang.gates import bound_gate_matrix
 from repro.lang.parameters import ParameterBinding
 from repro.sim.density import DensityState
@@ -73,12 +74,13 @@ def step(config: Configuration, binding: ParameterBinding | None = None) -> list
         evolved = state.apply_unitary(bound_gate_matrix(program.gate, binding), program.qubits)
         return [Configuration(None, evolved)]
     if isinstance(program, Seq):
+        first, *rest = program.statements
         successors = []
-        for inner in step(Configuration(program.first, state), binding):
+        for inner in step(Configuration(first, state), binding):
             if inner.is_terminal:
-                successors.append(Configuration(program.second, inner.state))
+                successors.append(Configuration(seq(rest), inner.state))
             else:
-                successors.append(Configuration(Seq(inner.program, program.second), inner.state))
+                successors.append(Configuration(Seq(inner.program, *rest), inner.state))
         return successors
     if isinstance(program, Case):
         successors = []
@@ -101,7 +103,7 @@ def step(config: Configuration, binding: ParameterBinding | None = None) -> list
             successors.append(Configuration(Seq(program.body, abort), continuing))
         return successors
     if isinstance(program, Sum):
-        return [Configuration(program.left, state), Configuration(program.right, state)]
+        return [Configuration(summand, state) for summand in program.summands]
     raise SemanticsError(f"unknown program node {type(program).__name__}")
 
 

@@ -214,8 +214,9 @@ def content_digest(obj) -> str:
     """The sha256 hex digest of one pickle of a program or program set.
 
     Pickle writes an object once per identity, so the bytes depend on which
-    equal strings share one object: equal work built the same way digests
-    alike, and a decoded copy may not.  Only the client digests, to name
+    equal objects share one: equal work built the same way digests alike,
+    and a decoded copy may not.  The AST interns variable names, so how a
+    build made its names does not matter.  Only the client digests, to name
     the artifacts it installs; nothing decodes work and digests it again.
 
     Memoized in the object's own ``memo`` beside the pickle it hashed, so

@@ -91,7 +91,9 @@ def _denote(
             bound_gate_matrix(program.gate, binding),
         )
     if isinstance(program, Seq):
-        return _denote(program.second, layout, _denote(program.first, layout, batch, binding), binding)
+        for statement in program.statements:
+            batch = _denote(statement, layout, batch, binding)
+        return batch
     if isinstance(program, Sum):
         raise SemanticsError(
             "the additive choice '+' has a multiset semantics; compile the program first"

@@ -25,11 +25,14 @@ the density simulator's ``O(2^k · 4^n)``:
   the observable's spectral norm — see ``mass_budget`` below); an additive
   program never stops early, since a later ``+`` would read the cut mass
   once per summand;
-* the additive choice ``+`` stacks both summands' trajectories (its
+* the additive choice ``+`` stacks its summands' trajectories (its
   observable semantics is the sum over the compiled multiset,
   Definition 4.1/5.2);
+* a sequence runs its statements in order, in one loop over the flat
+  ``Seq`` (see *Fused runs* below);
 * ``q := |0⟩`` resets in one of two exact ways: branches the runtime
-  entanglement check certifies as product-form keep a single trajectory
+  entanglement check certifies as product-form (to within ``prune_tol``
+  of discarded mass) keep a single trajectory
   (:func:`repro.sim.kernels.reset_vector_batch`); otherwise the reset
   channel's Kraus operators ``K_i = |0⟩⟨i|_q`` split every branch into at
   most ``dim(q)`` sub-branches — still an exact pure-state ensemble;
@@ -50,8 +53,9 @@ other rows share its batch; exceeding the cap raises
 past ``B ≈ 2^n`` branches the ``O(4^n)`` density representation is the
 cheaper encoding of the mixture anyway.
 
-**Tangent mode.**  Figure 4's product rule ``∂(S₁;S₂) = (S₁;∂S₂) +
-(∂S₁;S₂)`` is forward-mode differentiation, and Definition 6.1's readout
+**Tangent mode.**  Figure 4's product rule ``∂(S₁;…;Sₙ) = Σᵢ
+(S₁;…;∂Sᵢ;…;Sₙ)``, over the statements that use θ, is forward-mode
+differentiation, and Definition 6.1's readout
 ``tr((Z_A ⊗ O)[[R'_σ(θ)]](|0⟩⟨0| ⊗ ρ)) = ½ tr(O(R ρ R(θ+π)† + R(θ+π) ρ R†))``
 is bilinear in a branch ``ψ`` and ``½R(θ+π)ψ = (dR/dθ)ψ`` (Lemma D.1).  So
 the summed readout over ``Compile(∂P/∂θ)`` is ``2 Re⟨ψ|O|∂ψ⟩``, where the
@@ -387,21 +391,6 @@ def coalesce_branches(
     return _merged_stack(stack, plan), owners[plan.kept].astype(np.intp)
 
 
-def _statements(program: Seq) -> tuple[Program, ...]:
-    """A ``Seq`` tree's statements in order, memoized in its memo."""
-    found = program.memo.get("statements")
-    if found is None:
-        statements, pending = [], [program]
-        while pending:
-            node = pending.pop()
-            if isinstance(node, Seq):
-                pending.extend((node.second, node.first))
-            else:
-                statements.append(node)
-        found = program.memo.setdefault("statements", tuple(statements))
-    return found
-
-
 def _fork_bounds(program: Program, parameters: tuple[Parameter, ...]) -> np.ndarray:
     """Each parameter's Definition 7.1 occurrence count in ``program``: the
     most gates using it that one branch can pass.  Memoized in its memo."""
@@ -517,7 +506,7 @@ def _fusion_plan(program: Seq, layout: RegisterLayout) -> tuple:
     key = ("fusion", layout.names, layout.dims)
     found = program.memo.get(key)
     if found is None:
-        statements = _statements(program)
+        statements = program.statements
         segments, start = [], 0
         while start < len(statements):
             end = start
@@ -754,9 +743,7 @@ class _Evaluator:
         if isinstance(program, While):
             return self._while(program, rows)
         if isinstance(program, Sum):
-            return self._compact(
-                [self.denote(program.left, rows), self.denote(program.right, rows)]
-            )
+            return self._compact([self.denote(summand, rows) for summand in program.summands])
         raise SemanticsError(
             f"{type(program).__name__} is not trajectory-simulable; the simulation "
             "report (repro.analysis.purity) gates which programs may take this path"
@@ -765,7 +752,7 @@ class _Evaluator:
     def _sequence(self, program: Seq, rows: _Rows) -> _Rows:
         """A sequence's statements in order, each run of unitaries fused or
         gate by gate as its plan says."""
-        statements = _statements(program)
+        statements = program.statements
         for start, end, run in _fusion_plan(program, self.layout):
             if not rows.owners.size:
                 break
@@ -911,9 +898,12 @@ class _Evaluator:
     def _reset(self, variable: str, rows: _Rows) -> _Rows:
         axis = self.layout.index(variable)
         if not rows.parents.size:
+            # One row per branch, charging nothing: only below the pruning floor.
             try:
                 return rows._replace(
-                    stack=kernels.reset_vector_batch(rows.stack, self.layout.dims, axis)
+                    stack=kernels.reset_vector_batch(
+                        rows.stack, self.layout.dims, axis, atol=self.options.prune_tol
+                    )
                 )
             except PurityError:
                 pass

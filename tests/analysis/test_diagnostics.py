@@ -26,11 +26,11 @@ class TestDiagnostic:
             Severity.ERROR,
             "RPR005",
             "saturating bound",
-            path=("first", "branch[1]"),
+            path=("statement[0]", "branch[1]"),
             source="prog.qw",
         )
         assert d.format() == (
-            "prog.qw: error RPR005: saturating bound (at first/branch[1])"
+            "prog.qw: error RPR005: saturating bound (at statement[0]/branch[1])"
         )
 
     def test_node_does_not_participate_in_equality(self):

@@ -136,7 +136,14 @@ class TestRuleEdges:
         program = Sum(cancelling, ry(0.3, "q1"))
         bag = lint_program(program, rules=["RPR006"])
         assert [d.code for d in bag] == ["RPR006"]
-        assert bag[0].path[0] == "left"
+        assert bag[0].path == ("summand[0]", "statement[0]")
+
+    def test_paths_index_the_statements_of_a_flat_sequence(self):
+        program = seq(
+            [Init("q1"), rx(0.2, "q2"), case_on_qubit("q1", {0: Skip(("q1",)), 1: ry(0.2, "q1")})]
+        )
+        bag = lint_program(program, rules=["RPR004"])
+        assert [d.path for d in bag] == [("statement[2]", "branch[1]")]
 
 
 class TestCli:

@@ -28,12 +28,8 @@ BINDING = ParameterBinding({THETA: 0.73})
 class TestGadgetStructure:
     def test_rotation_prime_shape(self):
         gadget = rotation_prime("X", THETA, "a", "q1")
-        statements = []
-        node = gadget
-        while isinstance(node, Seq):
-            statements.insert(0, node.second)
-            node = node.first
-        statements.insert(0, node)
+        assert isinstance(gadget, Seq)
+        statements = gadget.statements
         assert len(statements) == 3
         assert statements[0].gate.name == "H" and statements[0].qubits == ("a",)
         assert isinstance(statements[1].gate, ControlledRotation)
@@ -43,7 +39,7 @@ class TestGadgetStructure:
     def test_coupling_prime_shape(self):
         gadget = coupling_prime("XX", THETA, "a", "q1", "q2")
         assert gadget.qvars() == {"a", "q1", "q2"}
-        inner = gadget.first.second
+        inner = gadget.statements[1]
         assert isinstance(inner.gate, ControlledCoupling)
         assert inner.qubits == ("a", "q1", "q2")
 

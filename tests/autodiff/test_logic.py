@@ -48,6 +48,13 @@ class TestDerivationConstruction:
         assert derivation.rule == "Sequence"
         assert len(derivation.premises) == 2
 
+        # One premise per statement that uses θ; none when no statement does.
+        derivation, _ = _derivation_for(seq([rx(PHI, "q1"), ry(THETA, "q2"), Skip(["q1"])]))
+        assert [p.judgement.original for p in derivation.premises] == [ry(THETA, "q2")]
+        derivation, ancilla = _derivation_for(seq([rx(PHI, "q1"), Skip(["q2"])]))
+        assert derivation.premises == ()
+        assert derivation.judgement.derivative == Abort((ancilla, "q1", "q2"))
+
         derivation, _ = _derivation_for(case_on_qubit("q1", {0: rx(THETA, "q2"), 1: Skip(["q1"])}))
         assert derivation.rule == "Case"
         assert len(derivation.premises) == 2
@@ -104,7 +111,7 @@ class TestDerivationChecking:
         tampered = Derivation(
             derivation.rule,
             Judgement(
-                Sum(derivation.judgement.derivative.right, derivation.judgement.derivative.left),
+                Sum(*reversed(derivation.judgement.derivative.summands)),
                 program,
                 THETA,
             ),
@@ -119,6 +126,14 @@ class TestDerivationChecking:
         tampered = Derivation("Skip", derivation.judgement, derivation.premises)
         with pytest.raises(LogicError):
             check_derivation(tampered, ancilla="a", variables=["q1"])
+
+    def test_premise_for_a_statement_without_the_parameter_is_rejected(self):
+        program = seq([rx(THETA, "q1"), ry(PHI, "q2")])
+        derivation = derive(program, THETA, ancilla="a")
+        extra = derive(ry(PHI, "q2"), THETA, ancilla="a", variables=["q1", "q2"])
+        tampered = Derivation(derivation.rule, derivation.judgement, derivation.premises + (extra,))
+        with pytest.raises(LogicError):
+            check_derivation(tampered, ancilla="a", variables=["q1", "q2"])
 
     def test_missing_premise_is_rejected(self):
         program = Seq(rx(THETA, "q1"), ry(THETA, "q2"))

@@ -14,6 +14,7 @@ from repro.lang.builder import (
     ry,
     rz,
     seq,
+    sum_programs,
 )
 from repro.lang.gates import ControlledRotation, FixedGate, hadamard
 from repro.lang.parameters import Parameter, ParameterBinding
@@ -96,8 +97,25 @@ class TestCompositeRules:
         s0, s1 = rx(THETA, "q1"), ry(THETA, "q2")
         derivative = differentiate(Seq(s0, s1), THETA, ancilla="a")
         assert isinstance(derivative, Sum)
-        assert derivative.left == Seq(s0, differentiate(s1, THETA, ancilla="a", variables=["q1", "q2"]))
-        assert derivative.right == Seq(differentiate(s0, THETA, ancilla="a", variables=["q1", "q2"]), s1)
+        assert derivative.summands == (
+            Seq(s0, differentiate(s1, THETA, ancilla="a", variables=["q1", "q2"])),
+            Seq(differentiate(s0, THETA, ancilla="a", variables=["q1", "q2"]), s1),
+        )
+
+    def test_sequence_rule_sums_over_the_statements_that_use_theta_last_first(self):
+        s0, s1, s2, s3 = rx(THETA, "q1"), ry(PHI, "q2"), rz(THETA, "q2"), Skip(["q1"])
+        derivative = differentiate(seq([s0, s1, s2, s3]), THETA, ancilla="a")
+        d0, d2 = (differentiation_gadget(s, "a") for s in (s0, s2))
+        assert derivative == Sum(Seq(s0, s1, d2, s3), Seq(d0, s1, s2, s3))
+        # One such statement gives its member alone, none the Trivial abort.
+        assert differentiate(seq([s1, s2, s3]), THETA, ancilla="a") == Seq(s1, d2, s3)
+        assert differentiate(seq([s1, s3]), THETA, ancilla="a") == Abort(("a", "q1", "q2"))
+
+    def test_nesting_of_a_chain_does_not_change_its_derivative(self):
+        s0, s1, s2 = rx(THETA, "q1"), ry(THETA, "q2"), rz(THETA, "q1")
+        left = differentiate(Seq(Seq(s0, s1), s2), THETA, ancilla="a")
+        assert left == differentiate(Seq(s0, Seq(s1, s2)), THETA, ancilla="a")
+        assert len(left.summands) == 3
 
     def test_case_rule_differentiates_branches_under_same_guard(self):
         program = case_on_qubit("q1", {0: rx(THETA, "q2"), 1: rz(THETA, "q2")})
@@ -112,8 +130,10 @@ class TestCompositeRules:
         program = Sum(rx(THETA, "q1"), ry(THETA, "q1"))
         derivative = differentiate(program, THETA, ancilla="a")
         assert isinstance(derivative, Sum)
-        assert derivative.left == differentiation_gadget(rx(THETA, "q1"), "a")
-        assert derivative.right == differentiation_gadget(ry(THETA, "q1"), "a")
+        assert derivative.summands == (
+            differentiation_gadget(rx(THETA, "q1"), "a"),
+            differentiation_gadget(ry(THETA, "q1"), "a"),
+        )
 
     def test_while_rule_unfolds_to_case(self):
         program = bounded_while_on_qubit("q1", rx(THETA, "q1"), 2)
@@ -123,6 +143,27 @@ class TestCompositeRules:
         assert isinstance(derivative.branch(0), Abort)
         # 1-branch contains the additive choice of the product rule.
         assert isinstance(derivative.branch(1), Sum)
+
+    def test_while_rule_builds_the_macro_derivative_with_one_body_derivative(self):
+        body = seq([rx(THETA, "q1"), ry(PHI, "q2")])
+        program = bounded_while_on_qubit("q1", body, 2)
+        trivial = Abort(("a", "q1", "q2"))
+        d_body = differentiate(body, THETA, ancilla="a")
+        last = Seq(d_body, Abort(("q1", "q2")))
+        inner = Case(program.measurement, ("q1",), {0: trivial, 1: last})
+        smaller = bounded_while_on_qubit("q1", body, 1)
+        expected = Case(
+            program.measurement,
+            ("q1",),
+            {0: trivial, 1: Sum(Seq(body, inner), Seq(d_body, smaller))},
+        )
+        assert differentiate(program, THETA, ancilla="a") == expected
+        # A loop whose body does not use θ differentiates to the Trivial abort in both arms.
+        loop = bounded_while_on_qubit("q1", rx(PHI, "q1"), 3)
+        assert differentiate(loop, THETA, ancilla="a", variables=["q1", "q2"]).children() == (
+            trivial,
+            trivial,
+        )
 
     def test_transform_output_is_additive_over_extended_register(self):
         program = seq([rx(THETA, "q1"), ry(0.2, "q2"), rxx(THETA, "q1", "q2")])
@@ -183,7 +224,11 @@ class TestDifferentiationContext:
         assert context.trivial_abort() == Abort(("a", "q1", "q2"))
 
     def test_every_trivial_rule_yields_the_one_shared_abort(self):
-        program = seq([Skip(["q1"]), rx(PHI, "q2"), Init("q1"), rx(THETA, "q1")])
+        # A sum differentiates every summand: Skip, a unitary without θ,
+        # Init and a sequence in which no statement uses θ.
+        theta_free = seq([Skip(["q2"]), rx(PHI, "q1")])
+        summands = [Skip(["q1"]), rx(PHI, "q2"), Init("q1"), theta_free, rx(THETA, "q1")]
+        program = sum_programs(summands)
         abort = DifferentiationContext(THETA, "a", ("q1", "q2")).trivial_abort()
         derivative = differentiate(program, THETA, ancilla="a")
         stack, found = [derivative], []
@@ -192,4 +237,4 @@ class TestDifferentiationContext:
             if isinstance(node, Abort):
                 found.append(node)
             stack.extend(node.children())
-        assert len(found) == 3 and all(node is abort for node in found)
+        assert len(found) == 4 and all(node is abort for node in found)

@@ -12,7 +12,6 @@ import repro
 from repro.errors import ReproError, TransformError
 from repro.lang import Parameter, ParameterBinding, parse_program, pretty_print
 from repro.lang.builder import rx, ry, rxx, seq
-from repro.lang.traversal import reassociate
 from repro.linalg.observables import pauli_observable
 from repro.sim.density import DensityState
 from repro.sim.hilbert import RegisterLayout
@@ -91,7 +90,7 @@ class TestTextToGradient:
         state = DensityState.zero_state(layout)
         for compiled in program_set.nonaborting_programs():
             reparsed = parse_program(pretty_print(compiled))
-            assert reparsed == reassociate(compiled)
+            assert reparsed == compiled
             # Semantically identical too.
             direct = denote(compiled, state, binding)
             via_text = denote(reparsed, state, binding)

@@ -67,8 +67,10 @@ class TestExample61SimpleCase:
         assert isinstance(derivative, Case)
         zero_branch = derivative.branch(0)
         # The 0-branch is the additive choice (R'X; RY) + (RX; R'Y).
-        assert zero_branch.left == Seq(rx(THETA, "q1"), rotation_prime("Y", THETA, "A", "q1"))
-        assert zero_branch.right == Seq(rotation_prime("X", THETA, "A", "q1"), ry(THETA, "q1"))
+        assert zero_branch.summands == (
+            Seq(rx(THETA, "q1"), rotation_prime("Y", THETA, "A", "q1")),
+            Seq(rotation_prime("X", THETA, "A", "q1"), ry(THETA, "q1")),
+        )
         # The 1-branch is the single gadget R'Z.
         assert derivative.branch(1) == rotation_prime("Z", THETA, "A", "q1")
 
@@ -135,11 +137,11 @@ class TestAppendixF1ClassifierDerivatives:
             if index == 0:
                 # ∂/∂θ1: the gadget sits before the unchanged case statement.
                 assert isinstance(program, Seq)
-                assert isinstance(program.second, Case)
+                assert isinstance(program.statements[-1], Case)
             else:
                 # ∂/∂φ1 and ∂/∂ψ1: the gadget sits inside one branch of the case.
                 assert isinstance(program, Seq)
-                case = program.second
+                case = program.statements[-1]
                 assert isinstance(case, Case)
                 branch = case.branch(0) if index == 12 else case.branch(1)
                 gadgets = [

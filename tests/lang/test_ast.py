@@ -191,11 +191,11 @@ def _reference_aborts(program) -> bool:
     if isinstance(program, Abort):
         return True
     if isinstance(program, Seq):
-        return _reference_aborts(program.first) or _reference_aborts(program.second)
+        return any(_reference_aborts(statement) for statement in program.statements)
     if isinstance(program, Case):
         return all(_reference_aborts(branch) for _, branch in program.branches)
     if isinstance(program, Sum):
-        return _reference_aborts(program.left) and _reference_aborts(program.right)
+        return all(_reference_aborts(summand) for summand in program.summands)
     return False
 
 

@@ -79,14 +79,14 @@ class TestWhileUnfolding:
         assert unfolded.branch(0) == Skip(("q1",))
         body_then_abort = unfolded.branch(1)
         assert isinstance(body_then_abort, Seq)
-        assert isinstance(body_then_abort.second, Abort)
+        assert isinstance(body_then_abort.statements[-1], Abort)
 
     def test_unfold_bound_two_keeps_smaller_loop(self):
         loop = bounded_while_on_qubit("q1", rx(THETA, "q1"), 2)
         unfolded = unfold_while(loop)
         continuation = unfolded.branch(1)
-        assert isinstance(continuation.second, While)
-        assert continuation.second.bound == 1
+        assert isinstance(continuation.statements[-1], While)
+        assert continuation.statements[-1].bound == 1
 
     def test_fully_unfold_removes_all_whiles(self):
         program = _sample_program()

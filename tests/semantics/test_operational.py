@@ -79,7 +79,7 @@ class TestSingleSteps:
         successors = step(Configuration(loop, start))
         continuing = [s for s in successors if not s.is_terminal][0]
         # The continuation is body; abort.
-        assert isinstance(continuing.program.second, Abort)
+        assert isinstance(continuing.program.statements[-1], Abort)
 
     def test_sum_steps_to_both_components(self):
         program = Sum(Skip(["q1"]), Abort(["q1"]))

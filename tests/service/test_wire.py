@@ -431,3 +431,23 @@ class TestContentDigest:
         assert wire.dumps(program_set) == payload
         assert "memo" not in vars(wire.loads(payload))
         assert wire.content_digest(build()) == digest
+
+    def test_equal_work_from_separately_made_names_digests_alike(self):
+        # Names made at run time are distinct string objects in each build;
+        # pickle writes distinct equal strings separately, so the digest of
+        # equal work would depend on which build's strings it reached.  The
+        # AST interns every variable name.
+        from repro.autodiff.execution import differentiate_and_compile
+        from repro.lang.builder import bounded_while_on_qubit
+
+        def build():
+            q1, q2, q3 = ("".join(("q", str(index))) for index in (1, 2, 3))
+            body = seq([rx(THETA, q2), rxx(0.4, q2, q3), ry(THETA, q3)])
+            return seq([rx(THETA, q1), bounded_while_on_qubit(q1, body, 2)])
+
+        first, second = build(), build()
+        assert first == second
+        assert wire.content_digest(first) == wire.content_digest(second)
+        first_set = differentiate_and_compile(first, THETA)
+        second_set = differentiate_and_compile(second, THETA)
+        assert wire.content_digest(first_set) == wire.content_digest(second_set)

@@ -229,8 +229,6 @@ class TestTheRule:
     @pytest.mark.parametrize(
         "statements",
         [
-            # One statement: nothing to fuse.
-            [rx(THETA, "q1")],
             # W = 8 exceeds the gates' summed dimension 6.
             [rx(THETA, "q1"), ry(PHI, "q2"), rz(PSI, "q3")],
             # W = 32 exceeds _FUSE_MAX, though not the gates' summed dimension.
@@ -239,7 +237,7 @@ class TestTheRule:
             # A parameterized gate with no tangent rule.
             [rx(THETA, "q1"), UnitaryApp(ControlledRotation("Y", PHI), ("q1", "q2"))],
         ],
-        ids=["one-statement", "wider-than-its-gates", "wider-than-the-cap", "no-tangent-rule"],
+        ids=["wider-than-its-gates", "wider-than-the-cap", "no-tangent-rule"],
     )
     def test_runs_that_go_gate_by_gate(self, statements):
         _, plan = self._plan(statements)

@@ -280,6 +280,19 @@ class TestResets:
         reference = denotational.denote(Init("q1"), state, None).matrix
         assert np.allclose(_ensemble_matrix(result, 4), reference, atol=1e-12)
 
+    def test_a_barely_entangled_reset_is_not_taken_for_product_form(self):
+        # cos(φ/2)|00⟩ − i·sin(φ/2)|11⟩ at φ = 1e-5: the marginal's minor
+        # weight is 2.5e-11, above the pruning floor, so the reset splits
+        # instead of keeping one rescaled row (which misread ⟨ZZ⟩ by 5e-11
+        # per reset, uncharged to ``dropped``).
+        amplitudes = np.zeros(4, dtype=complex)
+        amplitudes[0], amplitudes[3] = np.cos(5e-6), -1j * np.sin(5e-6)
+        state = DensityState.from_pure(LAYOUT, amplitudes)
+        result = denote_trajectory_batch(Init("q1"), LAYOUT, amplitudes[np.newaxis, :], None)
+        assert result.amplitudes.shape[0] == 2
+        reference = denotational.denote(Init("q1"), state, None).matrix
+        assert np.allclose(_ensemble_matrix(result, 4), reference, rtol=0, atol=1e-15)
+
 
 class TestBudgets:
     def test_branch_cap_raises_trajectory_error(self):

@@ -38,15 +38,16 @@ class TestBuildClassifiers:
         assert len(p2.parameters) == 36
         assert contains_case(p2.program)
         assert isinstance(p2.program, Seq)
-        assert isinstance(p2.program.second, Case)
+        assert isinstance(p2.program.statements[-1], Case)
 
     def test_p3_has_a_bounded_while_and_24_parameters(self):
         p3 = build_p3()
         assert len(p3.parameters) == 24
         assert isinstance(p3.program, Seq)
-        assert isinstance(p3.program.second, While)
-        assert p3.program.second.bound == 2
-        assert gate_count(p3.program.second.body) == 12
+        loop = p3.program.statements[-1]
+        assert isinstance(loop, While)
+        assert loop.bound == 2
+        assert gate_count(loop.body) == 12
 
     def test_p3_predictions_are_sub_normalized_probabilities(self):
         p3 = build_p3()
@@ -58,8 +59,8 @@ class TestBuildClassifiers:
     def test_p1_and_p2_execute_the_same_number_of_gates_per_run(self):
         """Each run of P2 applies one of the two 12-gate branches: 24 gates, like P1."""
         p2 = build_p2()
-        case = p2.program.second
-        assert gate_count(p2.program.first) == 12
+        *layer, case = p2.program.statements
+        assert sum(map(gate_count, layer)) == 12
         assert gate_count(case.branch(0)) == 12
         assert gate_count(case.branch(1)) == 12
 

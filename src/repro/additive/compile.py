@@ -118,12 +118,7 @@ def _compile(program: Program) -> list[Program]:
 
 def _nonaborting(program: Program) -> list[Program]:
     """The non-aborting members of ``Compile(program)``: all of them, or none."""
-    compiled = _compile(program)
-    return [] if _is_abort_singleton(compiled) else compiled
-
-
-def _is_abort_singleton(compiled: list[Program]) -> bool:
-    return len(compiled) == 1 and isinstance(compiled[0], Abort)
+    return [] if essentially_aborts(program) else _compile(program)
 
 
 def _compile_case(program: Case) -> list[Program]:
@@ -145,7 +140,7 @@ def _compile_case(program: Case) -> list[Program]:
 def _check_invariant(compiled: list[Program]) -> None:
     if not compiled:
         raise CompilationError("compilation produced an empty multiset")
-    if _is_abort_singleton(compiled):
+    if len(compiled) == 1 and isinstance(compiled[0], Abort):
         return
     for program in compiled:
         if program.is_additive():

@@ -65,9 +65,8 @@ def _join(a: frozenset, b: frozenset) -> frozenset:
     return _shared(a | b)
 
 
-def _store(node: "Program", **values) -> None:
-    """Set a frozen node's fields and facts, once, in its constructor."""
-    vars(node).update(values)
+#: How a constructor sets the fields and facts of its frozen node.
+_set = object.__setattr__
 
 
 class Program:
@@ -130,7 +129,8 @@ class Abort(Program):
 
     def __init__(self, qubits: Sequence[str]):
         qubits = _normalize_qubits(qubits)
-        _store(self, qubits=qubits, _qvars=_shared(frozenset(qubits)))
+        _set(self, "qubits", qubits)
+        _set(self, "_qvars", _shared(frozenset(qubits)))
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,8 @@ class Skip(Program):
 
     def __init__(self, qubits: Sequence[str]):
         qubits = _normalize_qubits(qubits)
-        _store(self, qubits=qubits, _qvars=_shared(frozenset(qubits)))
+        _set(self, "qubits", qubits)
+        _set(self, "_qvars", _shared(frozenset(qubits)))
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,8 @@ class Init(Program):
         if not qubit:
             raise WellFormednessError("initialization requires a variable name")
         qubit = _name(qubit)
-        _store(self, qubit=qubit, _qvars=_shared(frozenset((qubit,))))
+        _set(self, "qubit", qubit)
+        _set(self, "_qvars", _shared(frozenset((qubit,))))
 
 
 @dataclass(frozen=True)
@@ -171,13 +173,10 @@ class UnitaryApp(Program):
                 f"gate {gate.display()} acts on {gate.arity} qubit(s) "
                 f"but {len(qubits)} were given: {qubits}"
             )
-        _store(
-            self,
-            gate=gate,
-            qubits=qubits,
-            _qvars=_shared(frozenset(qubits)),
-            _parameters=_shared(frozenset(gate.parameters())),
-        )
+        _set(self, "gate", gate)
+        _set(self, "qubits", qubits)
+        _set(self, "_qvars", _shared(frozenset(qubits)))
+        _set(self, "_parameters", _shared(frozenset(gate.parameters())))
 
 
 @dataclass(frozen=True)
@@ -193,14 +192,11 @@ class Seq(Program):
 
     def __init__(self, *statements: Program):
         statements = _spliced(Seq, statements)
-        _store(
-            self,
-            statements=statements,
-            _qvars=reduce(_join, (s._qvars for s in statements)),
-            _parameters=reduce(_join, (s._parameters for s in statements)),
-            _additive=any(s._additive for s in statements),
-            _aborts=any(s._aborts for s in statements),
-        )
+        _set(self, "statements", statements)
+        _set(self, "_qvars", reduce(_join, (s._qvars for s in statements)))
+        _set(self, "_parameters", reduce(_join, (s._parameters for s in statements)))
+        _set(self, "_additive", any(s._additive for s in statements))
+        _set(self, "_aborts", any(s._aborts for s in statements))
 
     def children(self) -> tuple[Program, ...]:
         return self.statements
@@ -241,16 +237,14 @@ class Case(Program):
                 f"{sorted(measurement.outcomes)}"
             )
         programs = [program for _, program in items]
-        _store(
-            self,
-            measurement=measurement,
-            qubits=qubits,
-            branches=items,
-            _qvars=reduce(_join, (p._qvars for p in programs), _shared(frozenset(qubits))),
-            _parameters=reduce(_join, (p._parameters for p in programs), _EMPTY),
-            _additive=any(p._additive for p in programs),
-            _aborts=all(p._aborts for p in programs),
-        )
+        _set(self, "measurement", measurement)
+        _set(self, "qubits", qubits)
+        _set(self, "branches", items)
+        qvars = reduce(_join, (p._qvars for p in programs), _shared(frozenset(qubits)))
+        _set(self, "_qvars", qvars)
+        _set(self, "_parameters", reduce(_join, (p._parameters for p in programs), _EMPTY))
+        _set(self, "_additive", any(p._additive for p in programs))
+        _set(self, "_aborts", all(p._aborts for p in programs))
 
     def branch(self, outcome: int) -> Program:
         """Return the program executed for a given measurement outcome."""
@@ -295,16 +289,13 @@ class While(Program):
                 "the guard measurement of a while loop must have outcomes {0, 1}, "
                 f"got {sorted(measurement.outcomes)}"
             )
-        _store(
-            self,
-            measurement=measurement,
-            qubits=qubits,
-            body=body,
-            bound=bound,
-            _qvars=_join(_shared(frozenset(qubits)), body._qvars),
-            _parameters=body._parameters,
-            _additive=body._additive,
-        )
+        _set(self, "measurement", measurement)
+        _set(self, "qubits", qubits)
+        _set(self, "body", body)
+        _set(self, "bound", bound)
+        _set(self, "_qvars", _join(_shared(frozenset(qubits)), body._qvars))
+        _set(self, "_parameters", body._parameters)
+        _set(self, "_additive", body._additive)
 
     def children(self) -> tuple[Program, ...]:
         return (self.body,)
@@ -324,13 +315,10 @@ class Sum(Program):
 
     def __init__(self, *summands: Program):
         summands = _spliced(Sum, summands)
-        _store(
-            self,
-            summands=summands,
-            _qvars=reduce(_join, (s._qvars for s in summands)),
-            _parameters=reduce(_join, (s._parameters for s in summands)),
-            _aborts=all(s._aborts for s in summands),
-        )
+        _set(self, "summands", summands)
+        _set(self, "_qvars", reduce(_join, (s._qvars for s in summands)))
+        _set(self, "_parameters", reduce(_join, (s._parameters for s in summands)))
+        _set(self, "_aborts", all(s._aborts for s in summands))
 
     def children(self) -> tuple[Program, ...]:
         return self.summands

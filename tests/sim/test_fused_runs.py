@@ -30,7 +30,7 @@ from repro.api import (
 from repro.api.estimator import ordered_parameters
 from repro.autodiff.execution import differentiate_and_compile
 from repro.errors import TransformError
-from repro.lang.ast import UnitaryApp
+from repro.lang.ast import Init, UnitaryApp
 from repro.lang.builder import (
     bounded_while_on_qubit,
     case_on_qubit,
@@ -229,6 +229,8 @@ class TestTheRule:
     @pytest.mark.parametrize(
         "statements",
         [
+            # A run of one statement, here before a reset: nothing to fuse.
+            [rx(THETA, "q1"), Init("q2")],
             # W = 8 exceeds the gates' summed dimension 6.
             [rx(THETA, "q1"), ry(PHI, "q2"), rz(PSI, "q3")],
             # W = 32 exceeds _FUSE_MAX, though not the gates' summed dimension.
@@ -237,11 +239,11 @@ class TestTheRule:
             # A parameterized gate with no tangent rule.
             [rx(THETA, "q1"), UnitaryApp(ControlledRotation("Y", PHI), ("q1", "q2"))],
         ],
-        ids=["wider-than-its-gates", "wider-than-the-cap", "no-tangent-rule"],
+        ids=["one-statement", "wider-than-its-gates", "wider-than-the-cap", "no-tangent-rule"],
     )
     def test_runs_that_go_gate_by_gate(self, statements):
         _, plan = self._plan(statements)
-        assert [run for _, _, run in plan] == [None]
+        assert all(run is None for _, _, run in plan)
 
     def test_sixteen_amplitudes_fuse_once_the_gates_sum_to_sixteen(self):
         assert _FUSE_MAX == 16

@@ -58,7 +58,9 @@ The window and the targets-to-the-front matmul are cut into GEMMs of at
 most ``_GEMM_MAX`` multiply-adds, so that BLAS runs every one of them on
 the calling thread.  All three forms keep the batch as a stacked axis, so a
 row runs the same GEMM shapes whatever ``B`` is and its bits never depend
-on how many rows share the call.  A density conjugation takes its column
+on how many rows share the call.  A stack of ``K`` operators on the same
+targets is one more stacked axis in front: one call runs every operator's
+GEMMs, each as it would alone.  A density conjugation takes its column
 side through the same geometry: ``ρ ↦ ρ (A ⊗ I)†`` applies ``conj(A)`` to
 every row of ``ρ`` as a statevector; where that is neither a window nor a
 block view, both its sides go through ``tensordot`` itself.
@@ -108,7 +110,8 @@ __all__ = [
 # cost formula the model uses — ``B · e · d^n`` model flops for a batched
 # k-local apply with target dimension ``e``, ``2 · e · (d^n)²`` for a density
 # conjugation, and so on — plus the peak single-kernel working set in bytes
-# (``2 · B · d^n · 16``: input and output stacks of complex128 amplitudes).
+# (``2 · B · d^n · 16``: input and output stacks of complex128 amplitudes;
+# ``(1 + K) · B · d^n · 16`` for ``K`` operators applied in one call).
 # The soundness suite then asserts measured ≤ predicted on random programs.
 #
 # Counting is off by default and costs one ``None`` check per kernel call.
@@ -314,10 +317,17 @@ class _Plan:
         self.reduce_permutation = tuple(reduce_perm) + tuple(self.n + p for p in reduce_perm)
         self.other_dim = math.prod(dims[o] for o in other)
 
-    def validate_operator(self, operator: np.ndarray) -> np.ndarray:
-        """Check that the operator matches the target dimensions."""
+    def validate_operator(self, operator: np.ndarray, *, stacked: bool = False) -> np.ndarray:
+        """Check that the operator matches the target dimensions.
+
+        With ``stacked``, a ``(K, e, e)`` stack of operators passes too.
+        """
         operator = np.asarray(operator, dtype=complex)
-        if operator.shape != (self.expected, self.expected):
+        square = (self.expected, self.expected)
+        if not (
+            operator.shape == square
+            or (stacked and operator.ndim == 3 and operator.shape[1:] == square)
+        ):
             raise DimensionMismatchError(
                 f"operator shape {operator.shape} does not match target dims "
                 f"{list(self.target_dims)}"
@@ -325,12 +335,17 @@ class _Plan:
         return operator
 
     def sort_operator(self, operator: np.ndarray) -> np.ndarray:
-        """Permute a validated operator onto the sorted target axes."""
+        """Permute a validated operator, or each of a stack, onto the sorted
+        target axes."""
         if self.operator_permutation is not None:
+            stack = operator.shape[:-2]
             operator = (
-                operator.reshape(self.target_dims + self.target_dims)
-                .transpose(self.operator_permutation)
-                .reshape(self.expected, self.expected)
+                operator.reshape(stack + self.target_dims + self.target_dims)
+                .transpose(
+                    tuple(range(len(stack)))
+                    + tuple(len(stack) + axis for axis in self.operator_permutation)
+                )
+                .reshape(stack + (self.expected, self.expected))
             )
         return operator
 
@@ -375,37 +390,53 @@ def _advance(
     front (see the module docstring).  Every form keeps ``B`` a stacked
     axis — never ``psi.reshape(-1, w) @ window``, whose BLAS kernel choice
     depends on the row count — so a row's bits do not depend on the batch
-    it rides in.  ``out``, a C-contiguous ``(B, d^n)`` array, receives the
+    it rides in.  A ``(K, e, e)`` stack of operators adds a leading axis,
+    ``(K, B, d^n)``: each operator runs the GEMMs it would run alone, so
+    row ``(k, b)`` has the bits operator ``k`` alone gives row ``b``.
+    ``out``, a C-contiguous array of the result's shape, receives the
     result in place of a new array.
     """
     batch = psi.shape[0]
+    if operator.ndim == 2:
+        stack = spread = ()
+    else:
+        # Each operator of a stack broadcasts over the batch and block axes.
+        stack = operator.shape[:1]
+        spread = stack + (1, 1)
     if plan.window is not None:
         width, rows, positions, source = plan.window
-        window = np.zeros(width * width, dtype=complex)
-        window[positions] = operator.reshape(-1)[source]
+        window = np.zeros(stack + (width * width,), dtype=complex)
+        if stack:
+            window[:, positions] = operator.reshape(stack + (-1,))[:, source]
+        else:
+            window[positions] = operator.reshape(-1)[source]
         segments = psi.reshape(batch, plan.total // (rows * width), rows, width)
         result = np.matmul(
             segments,
-            window.reshape(width, width),
-            out=None if out is None else out.reshape(segments.shape),
+            window.reshape(spread + (width, width)),
+            out=None if out is None else out.reshape(stack + segments.shape),
         )
     elif plan.blocks is not None:
         shape = (batch,) + plan.blocks
+        operator = plan.sort_operator(operator)
         result = np.matmul(
-            plan.sort_operator(operator),
+            operator.reshape(spread + operator.shape[-2:]) if stack else operator,
             psi.reshape(shape),
-            out=None if out is None else out.reshape(shape),
+            out=None if out is None else out.reshape(stack + shape),
         )
     else:
         order, inverse, columns = plan.front
         moved = psi.reshape((batch,) + plan.dims).transpose(order)
         shape = (batch, plan.expected, plan.total // (plan.expected * columns), columns)
+        if stack:
+            operator = operator.reshape(spread + operator.shape[-2:])
+            inverse = (0,) + tuple(1 + axis for axis in inverse)
         result = np.matmul(operator, moved.reshape(shape).swapaxes(1, 2))
-        result = result.swapaxes(1, 2).reshape(moved.shape).transpose(inverse)
+        result = result.swapaxes(-3, -2).reshape(stack + moved.shape).transpose(inverse)
         if out is not None:
             out.reshape(result.shape)[...] = result
             return out
-    return result.reshape(batch, plan.total)
+    return result.reshape(stack + (batch, plan.total))
 
 
 # -- state-vector kernels -----------------------------------------------------
@@ -471,20 +502,29 @@ def apply_operator_vector_batch(
     """Apply a k-local operator to a ``(B, d^n)`` stack of statevectors.
 
     One broadcasted contraction advances the whole stack:
-    ``O(B · 2^k · 2^n)``, with a single numpy call per gate.  ``out`` — a
-    C-contiguous complex array of the stack's shape, e.g. the leading rows
-    of a larger stack — receives the result instead of a new array.
+    ``O(B · 2^k · 2^n)``, with a single numpy call per gate.  A ``(K, e,
+    e)`` stack of operators on the same targets applies each of them to
+    every row in that one call and returns ``(K, B, d^n)``; row ``(k, b)``
+    has the bits of operator ``k`` applied alone, and the call charges
+    ``K`` applies' model flops and a working set of the input plus ``K``
+    outputs.  ``out`` — a C-contiguous complex array of the result's
+    shape, e.g. rows of a larger stack — receives the result instead of a
+    new array.
     """
     plan = _plan(dims, axes)
-    operator = plan.validate_operator(operator)
+    operator = plan.validate_operator(operator, stacked=True)
     psi = _as_batch(amplitudes, plan.total)
+    count = 1 if operator.ndim == 2 else len(operator)
     if out is not None and (
-        out.shape != psi.shape or out.dtype != complex or not out.flags.c_contiguous
+        out.shape != operator.shape[:-2] + psi.shape
+        or out.dtype != complex
+        or not out.flags.c_contiguous
     ):
         raise DimensionMismatchError(
-            f"out must be a C-contiguous complex array of shape {psi.shape}"
+            f"out must be a C-contiguous complex array of shape {operator.shape[:-2] + psi.shape}"
         )
-    _charge(psi.shape[0] * plan.expected * plan.total, psi.shape[0] * plan.total)
+    rows = psi.shape[0] * plan.total
+    _charge(count * plan.expected * rows, 0.5 * (1 + count) * rows)
     return _advance(plan, operator, psi, out)
 
 
@@ -514,14 +554,11 @@ def measure_branch_vector_batch(
     the sub-normalized branch ``M_m|ψ_b⟩`` whose squared norm is that
     branch's Born-rule probability mass, and summing the outer products of
     all outcome stacks reproduces the density semantics of the measurement
-    exactly.  One broadcasted contraction per outcome — ``O(K · B · 2^k ·
+    exactly.  One stacked contraction for every outcome — ``O(K · B · 2^k ·
     2^n)`` total for ``K`` outcomes, the pure-state counterpart of the
     ``O(K · 2^k · 4^n)`` density branch channels.
     """
-    return [
-        apply_operator_vector_batch(amplitudes, dims, axes, operator)
-        for operator in operators
-    ]
+    return list(apply_operator_vector_batch(amplitudes, dims, axes, np.asarray(operators)))
 
 
 def reset_vector_batch(

@@ -16,7 +16,9 @@ Leading ``q := |0⟩`` resets are evaluated by
 :func:`repro.sim.kernels.reset_vector_batch`, which *verifies at runtime*
 that the reset variable is unentangled (the static analysis only proves no
 earlier statement touched it — the input state could still be entangled)
-and raises :class:`~repro.errors.PurityError` otherwise; callers such as
+to within the trajectory walk's reset floor, ``TrajectoryOptions().prune_tol``
+of relative purity defect, and raises :class:`~repro.errors.PurityError`
+otherwise; callers such as
 :class:`repro.api.StatevectorBackend` catch that and fall back to the
 density simulator.  ``case``/``while``/``+`` raise
 :class:`~repro.errors.SemanticsError` — they are exactly what the purity
@@ -43,8 +45,13 @@ from repro.lang.parameters import ParameterBinding
 from repro.sim import kernels
 from repro.sim.hilbert import RegisterLayout
 from repro.sim.statevector import StateVector
+from repro.sim.trajectories import TrajectoryOptions
 
 __all__ = ["denote_amplitude_batch", "denote_pure"]
+
+#: A reset keeps one row only below this relative purity defect: what it
+#: discards is charged nowhere, so it uses the walk's pruning floor.
+_RESET_ATOL = TrajectoryOptions().prune_tol
 
 
 def denote_amplitude_batch(
@@ -82,7 +89,9 @@ def _denote(
     if isinstance(program, Skip):
         return batch
     if isinstance(program, Init):
-        return kernels.reset_vector_batch(batch, layout.dims, layout.index(program.qubit))
+        return kernels.reset_vector_batch(
+            batch, layout.dims, layout.index(program.qubit), atol=_RESET_ATOL
+        )
     if isinstance(program, UnitaryApp):
         return kernels.apply_operator_vector_batch(
             batch,

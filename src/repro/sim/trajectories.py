@@ -67,10 +67,14 @@ column ``k`` that has forked into it:
 
 * every kernel step — a gate, a ``case`` or guard projector, a Kraus
   split — applies to a branch's forward and tangent rows in one stacked
-  call (∂ of a ``case`` is the ``case`` of the ∂ branches);
+  call (∂ of a ``case`` is the ``case`` of the ∂ branches), and a ``case``
+  forms all its outcomes, a reset all its Kraus branches, in that one call;
 * at a rotation or coupling ``U`` that uses ``θ_k`` the tangent becomes
   ``U ∂_kψ + ½U(θ+π) ψ``; a branch's first fork of ``k`` creates the row,
-  so a column costs nothing before (or without) its first occurrence;
+  so a column costs nothing before (or without) its first occurrence.
+  However many columns a gate or a fused run forks, their shifts take one
+  stacked kernel call and one scatter (``_Evaluator._fork``), and new
+  tangent rows append column by column, rows ascending;
 * branch bookkeeping acts on the forward rows, and tangents ride along:
   the cap counts forward branches per input, as a value evaluation does,
   and coalescing merges phase-parallel forward rows as it does there — a
@@ -102,15 +106,19 @@ parameter-free, rotations or couplings, and its variables span ``W``
 amplitudes with ``W ≤ _FUSE_MAX`` and ``W`` at most the sum of its gates'
 dimensions (so the fused application charges no more model flops than the
 gates it replaces).  A fused run is bound once per walk, however often a
-``while`` body re-enters it: its product ``R`` on its own variables and,
-for each requested ``θ_k`` it uses, ``D_k = ∂R/∂θ_k``, built forward-mode
-through its gates as the walk itself differentiates.  ``R`` then maps every
-forward and tangent row in one kernel call, and ``D_k`` maps the forward
-rows as they entered the run into column ``k``'s tangents in one more.  The
-rule is static — it reads the statements and the register layout, never the
-binding or the rows, so a row's bits never depend on its batch — and each
-``Seq`` files its plan in its own memo, per layout.  A run that does not
-fuse goes gate by gate.
+``while`` body re-enters it: its product ``R = M_m⋯M_1`` on its own
+variables and, for each requested ``θ_k`` it uses, ``D_k = ∂R/∂θ_k``.  The
+chain that builds ``R`` passes every prefix ``P_i = M_i⋯M_1``; as each
+rotation's generator ``G_i`` is a Pauli string, ``dU_i/dθ = −½i·G_i·U_i``
+and ``D_k = −½i · R · Σ_{i uses θ_k} P_iᴴ G_i P_i``, where ``G_i P_i`` is a
+signed gather of ``P_i``'s rows — a fixed number of batched products,
+however many columns the run forks.  ``R`` then maps every forward and
+tangent row in one kernel call, the whole ``D`` stack maps the forward rows
+as they entered the run in one more, and one scatter adds each shift into
+its column's tangent.  The rule is static — it reads the statements and the
+register layout, never the binding or the rows, so a row's bits never
+depend on its batch — and each ``Seq`` files its plan in its own memo, per
+layout.  A run that does not fuse goes gate by gate.
 """
 
 from __future__ import annotations
@@ -431,10 +439,11 @@ class _Run:
     parameter-free gates, and ``(j, θ)`` the ``j``-th rotation or coupling,
     of angle ``θ = angles[j]``.  Its generator is a Pauli string, whose
     embedding ``G`` has one nonzero per row: ``G[r, perms[j, r]] =
-    phases[j, r]``.
+    phases[j, r]``.  ``uses`` maps each parameter to the rotations whose
+    angle it is, parameters in the order they first occur.
     """
 
-    __slots__ = ("axes", "products", "perms", "phases", "angles", "steps")
+    __slots__ = ("axes", "products", "perms", "phases", "angles", "steps", "uses")
 
     def __init__(self, statements: Sequence[UnitaryApp], layout: RegisterLayout, axes):
         dims = tuple(layout.dims[axis] for axis in axes)
@@ -467,6 +476,11 @@ class _Run:
         self.phases = frozen(np.array(phases, dtype=complex).reshape(-1, rows.size))
         self.angles = tuple(angles)
         self.steps = tuple(steps)
+        uses: dict[Parameter, list[int]] = {}
+        for index, angle in enumerate(angles):
+            if isinstance(angle, Parameter):
+                uses.setdefault(angle, []).append(index)
+        self.uses = {parameter: tuple(indices) for parameter, indices in uses.items()}
 
 
 def _fusable(statements: Sequence[UnitaryApp], layout: RegisterLayout) -> _Run | None:
@@ -522,50 +536,19 @@ def _fusion_plan(program: Seq, layout: RegisterLayout) -> tuple:
     return found
 
 
-def _rotations(angles: Sequence[float], generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``U(θ)`` and ``dU/dθ = ½U(θ+π)`` (Lemma D.1) per angle and generator.
+def _rotations(angles: Sequence[float], perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """``U(θ) = cos(θ/2)·I − i·sin(θ/2)·G`` per angle, as a ``(n, W, W)`` stack.
 
-    Vectorized over a stack of angles and their generators ``G`` (``G² = I``):
-    ``U(θ) = cos(θ/2)·I − i·sin(θ/2)·G`` and
-    ``½U(θ+π) = ½(−sin(θ/2)·I − i·cos(θ/2)·G)``.
+    Each generator is a Pauli string (``G² = I``), given by its one nonzero
+    per row: ``G[r, perms[j, r]] = phases[j, r]``.
     """
     half = 0.5 * np.asarray(angles, dtype=float)[:, np.newaxis]
-    cos, sin = np.cos(half), np.sin(half)
-    diagonal = np.arange(generators.shape[-1])
-    unitaries = (-1j * sin)[:, :, np.newaxis] * generators
-    unitaries[:, diagonal, diagonal] += cos
-    derivatives = (-0.5j * cos)[:, :, np.newaxis] * generators
-    derivatives[:, diagonal, diagonal] -= 0.5 * sin
-    return unitaries, derivatives
-
-
-def _fork(
-    target: np.ndarray,
-    size: int,
-    count: int,
-    shift: np.ndarray,
-    column: int,
-    parents: np.ndarray,
-    columns: np.ndarray,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Add ``shift[b]`` into forward row ``b``'s tangent of ``column``.
-
-    ``target`` holds ``count`` forward rows, then tangent rows up to
-    ``size``.  A forward row without a tangent of ``column`` gets one, set
-    to its ``shift`` and appended at ``target[size:]``.  Returns the new
-    ``(size, parents, columns)``.
-    """
-    mine = np.flatnonzero(columns == column)
-    target[count + mine] += shift[parents[mine]]
-    missing = np.ones(count, dtype=bool)
-    missing[parents[mine]] = False
-    fresh = np.flatnonzero(missing)
-    if fresh.size:
-        target[size : size + fresh.size] = shift[fresh]
-        size += fresh.size
-        parents = np.concatenate([parents, fresh])
-        columns = np.concatenate([columns, np.full(fresh.size, column, dtype=np.intp)])
-    return size, parents, columns
+    count, width = perms.shape
+    rows = np.arange(width)
+    unitaries = np.zeros((count, width, width), dtype=complex)
+    unitaries[:, rows, rows] = np.cos(half)
+    unitaries[np.arange(count)[:, np.newaxis], rows, perms] += -1j * np.sin(half) * phases
+    return unitaries
 
 
 class _Evaluator:
@@ -592,8 +575,9 @@ class _Evaluator:
         for column, parameter in enumerate(parameters):
             self.columns.setdefault(parameter, []).append(column)
         self.forks = forks
-        # Each fused run's R and D_k, bound on its first use in this walk.
-        self.bound: dict[_Run, tuple[np.ndarray, dict[Parameter, np.ndarray]]] = {}
+        # Each fused run's R, D stack and forked columns, bound on its first
+        # use in this walk.
+        self.bound: dict[_Run, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # Per input: the forward mass dropped, then each column's charge.
         self.dropped = np.zeros((num_inputs, 1 + len(parameters)))
         self.peak = 0
@@ -772,31 +756,31 @@ class _Evaluator:
             for column in self.columns.get(parameter, ())
         ]
 
-    def _derivative(self, statement: UnitaryApp) -> np.ndarray:
-        """``dU/dθ = ½U(θ+π)`` (Lemma D.1) of a rotation or coupling."""
+    def _derivative(self, statement: UnitaryApp, matrix: np.ndarray) -> np.ndarray:
+        """``dU/dθ = ½U(θ+π) = −½i·G·U(θ)`` (Lemma D.1) of a rotation or
+        coupling bound to ``matrix``, ``G`` its Pauli generator."""
         gate = statement.gate
         if not isinstance(gate, (Rotation, Coupling)):
             raise TransformError(
                 f"no tangent rule for gate {gate.display()}; only Pauli rotations "
                 "R_σ(θ) and couplings R_{σ⊗σ}(θ) are supported (Figure 4)"
             )
-        _, derivatives = _rotations([self.binding[gate.angle]], gate.generator()[np.newaxis])
-        return derivatives[0]
+        return -0.5j * (gate.generator() @ matrix)
 
     def _gates(self, statements: Sequence[UnitaryApp], rows: _Rows) -> _Rows:
         """A run of unitary statements, gate by gate.
 
         A run the plan fuses takes :meth:`_fused` instead: whether a run
         fuses is static (:func:`_fusable`), and a fused run is bound once
-        per walk (:meth:`_bind`) and applied in one call plus one per
-        requested parameter.  Here each gate ``U`` applies to every row in
-        one call, bound through ``bound_gate_matrix``.  At a statement
-        that uses a requested ``θ_k``, ``½U(θ+π)`` applies to the forward
-        rows as they entered it, and the result adds into each branch's
-        ``∂_kψ`` — or becomes it, at the branch's first fork of ``k``.
-        Each gate writes into the one of two buffers its input does not
-        occupy, and new tangent rows append behind it, so a run allocates
-        two stacks rather than one per gate.
+        per walk (:meth:`_bind`) and applied in one call, plus one for all
+        the columns it forks.  Here each gate ``U`` applies to every row in
+        one call, bound through ``bound_gate_matrix``.  At a statement that
+        uses a requested ``θ_k``, ``½U(θ+π)`` applies to the forward rows as
+        they entered it, and :meth:`_fork` adds the result into each
+        branch's ``∂_kψ`` — or makes it that, at the branch's first fork of
+        ``k``.  Each gate writes into the one of two buffers its input does
+        not occupy, and new tangent rows append behind it, so a run
+        allocates two stacks rather than one per gate.
         """
         forks = [self._forked(statement) if self.columns else () for statement in statements]
         count = rows.owners.size
@@ -813,75 +797,160 @@ class _Evaluator:
             matrix = bound_gate_matrix(statement.gate, self.binding)
             self._apply(axes, matrix, stack, target[:size])
             if forked:
-                shift = self._apply(axes, self._derivative(statement), stack[:count])
-                for column in forked:
-                    size, parents, columns = _fork(
-                        target, size, count, shift, column, parents, columns
-                    )
+                derivative = self._derivative(statement, matrix)
+                size, parents, columns = self._fork(
+                    axes,
+                    derivative[np.newaxis].repeat(len(forked), axis=0),
+                    stack[:count],
+                    target,
+                    size,
+                    np.array(forked),
+                    parents,
+                    columns,
+                )
             stack, side = target[:size], 1 - side
         return _Rows(stack, rows.owners, parents, columns)
 
     def _fused(self, run: _Run, rows: _Rows) -> _Rows:
-        """A fused run: ``R`` on every row, then ``D_k ψ`` into column ``k``.
+        """A fused run: ``R`` on every row, then every ``D_k ψ`` into its column.
 
-        ``ψ`` are the forward rows as they entered the run; the tangent
-        rows a run creates start from ``D_k ψ``, which already carries the
-        rest of the run, so ``R`` never applies to them.
+        ``ψ`` are the forward rows as they entered the run.  One call maps
+        every row through ``R``, and one :meth:`_fork` applies the whole
+        ``D`` stack to the forward rows and scatters the shifts, however
+        many columns the run forks.  The tangent rows a run creates start
+        from ``D_k ψ``, which already carries the rest of the run, so ``R``
+        never applies to them.
         """
-        operator, derivatives = self._bind(run)
+        operator, derivatives, forked = self._bind(run)
         count = rows.owners.size
-        forked = sum(len(self.columns[parameter]) for parameter in derivatives)
         size = rows.stack.shape[0]
-        target = np.empty((size + count * forked, rows.stack.shape[1]), dtype=complex)
+        target = np.empty((size + count * forked.size, rows.stack.shape[1]), dtype=complex)
         self._apply(run.axes, operator, rows.stack, target[:size])
         parents, columns = rows.parents, rows.columns
-        for parameter, derivative in derivatives.items():
-            shift = self._apply(run.axes, derivative, rows.stack[:count])
-            for column in self.columns[parameter]:
-                size, parents, columns = _fork(target, size, count, shift, column, parents, columns)
+        if forked.size:
+            size, parents, columns = self._fork(
+                run.axes, derivatives, rows.stack[:count], target, size, forked, parents, columns
+            )
         return _Rows(target[:size], rows.owners, parents, columns)
 
-    def _bind(self, run: _Run) -> tuple[np.ndarray, dict[Parameter, np.ndarray]]:
-        """A fused run's ``R`` and its ``D_k = ∂R/∂θ_k`` per requested
-        parameter it uses, bound on the run's first use in this walk.
+    def _fork(
+        self,
+        axes: tuple[int, ...],
+        derivatives: np.ndarray,
+        forward: np.ndarray,
+        target: np.ndarray,
+        size: int,
+        forked: np.ndarray,
+        parents: np.ndarray,
+        columns: np.ndarray,
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """Add ``derivatives[f]`` of each forward row into its tangent of
+        column ``forked[f]``, for every ``f`` at once.
 
-        Forward mode, as the walk differentiates: the product so far and
-        one tangent matrix per requested parameter, from its first
-        occurrence on, pass through each factor, and a factor that uses
-        ``θ_k`` adds ``½U(θ+π)`` times the product so far into ``θ_k``'s.
-        These ``W × W`` products are binding work, not kernel calls.
+        ``target`` holds the ``count`` forward rows, then tangent rows up
+        to ``size``, then room for the tangent rows the fork adds.  One
+        stacked call applies every ``derivatives[f]`` to ``forward``, the
+        forward rows as they entered the statement or run, and one scatter
+        adds each shift into the tangent row its (row, column) pair already
+        has.  The other pairs' shifts become new
+        tangent rows at ``target[size:]``, column by column and rows
+        ascending; where every pair is new, the call writes them there
+        directly.  Returns the new ``(size, parents, columns)``.
+        """
+        count = forward.shape[0]
+        grid = target[size : size + forked.size * count]
+        fresh = np.ones((forked.size, count), dtype=bool)
+        which, mine = np.nonzero(columns == forked[:, np.newaxis])
+        if mine.size:
+            shifts = self._apply(axes, derivatives, forward)
+            rows = parents[mine]
+            target[count + mine] += shifts[which, rows]
+            fresh[which, rows] = False
+            which, rows = np.nonzero(fresh)
+            if not rows.size:
+                return size, parents, columns
+            grid[: rows.size] = shifts[which, rows]
+        else:
+            self._apply(axes, derivatives, forward, grid.reshape(forked.size, count, -1))
+            which, rows = np.nonzero(fresh)
+        return (
+            size + rows.size,
+            np.concatenate([parents, rows]),
+            np.concatenate([columns, forked[which]]),
+        )
+
+    def _bind(self, run: _Run) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A fused run's ``R``, the stack of its forked columns' ``D_k =
+        ∂R/∂θ_k`` and those columns, bound on the run's first use in this
+        walk.
+
+        One chain of ``W × W`` products builds ``R = M_m⋯M_1`` (its
+        rotations bound by one :func:`_rotations` call) and keeps the prefix
+        ``P_i = M_i⋯M_1`` at each rotation ``i`` of a requested parameter.
+        As ``dU_i/dθ = −½i·G_i·U_i`` and every factor is unitary,
+        ``∂R/∂θ_k = −½i · R · Σ_{i uses θ_k} P_iᴴ G_i P_i``, and ``G_i P_i``
+        gathers ``P_i``'s rows through the generator's ``perms``/``phases``.
+        So the columns cost a fixed number of batched products however many
+        the run forks: one gather, one stacked ``P_iᴴ(G_i P_i)``, one
+        stacked product with ``R``, and between them one add per further
+        use of the most-used parameter.  Columns come in the order their
+        parameters first occur in the run, a parameter's columns ascending.
+        This is binding work, not kernel calls.
         """
         found = self.bound.get(run)
         if found is not None:
             return found
+        unitaries = _rotations([self.binding[angle] for angle in run.angles], run.perms, run.phases)
+        # Each requested parameter the run uses: its rotations and columns.
+        used = [
+            (rotations, self.columns[parameter])
+            for parameter, rotations in run.uses.items()
+            if parameter in self.columns
+        ]
+        # The requested rotations rank by rank, the most-used parameters
+        # first: every parameter's first rotation, then the second of those
+        # used twice or more, and so on.
+        order = sorted(range(len(used)), key=lambda index: -len(used[index][0]))
+        ranks = [
+            [used[index][0][rank] for index in order if len(used[index][0]) > rank]
+            for rank in range(len(used[order[0]][0]) if used else 0)
+        ]
+        requested = [j for rank in ranks for j in rank]
+        slots = {j: slot for slot, j in enumerate(requested)}
         width = run.products.shape[-1]
-        generators = np.zeros((len(run.angles), width, width), dtype=complex)
-        generators[np.arange(len(run.angles))[:, np.newaxis], np.arange(width), run.perms] = (
-            run.phases
-        )
-        unitaries, derivatives = _rotations(
-            [self.binding[angle] for angle in run.angles], generators
-        )
-        product = np.eye(width, dtype=complex)[np.newaxis]
-        slots: dict[Parameter, int] = {}
+        prefixes = np.empty((len(requested), width, width), dtype=complex)
+        product = None
         for index, angle in run.steps:
-            if angle is None:
-                product = run.products[index] @ product
-                continue
-            requested = angle in self.columns
-            if requested:
-                increment = derivatives[index] @ product[0]
-            product = unitaries[index] @ product
-            if requested:
-                if angle in slots:
-                    product[slots[angle]] += increment
-                else:
-                    slots[angle] = product.shape[0]
-                    product = np.concatenate([product, increment[np.newaxis]])
-        found = self.bound[run] = (
-            product[0],
-            {angle: product[slot] for angle, slot in slots.items()},
+            factor = run.products[index] if angle is None else unitaries[index]
+            slot = None if angle is None else slots.get(index)
+            if product is not None:
+                factor = np.matmul(factor, product, out=None if slot is None else prefixes[slot])
+            elif slot is not None:
+                prefixes[slot] = factor
+            product = factor
+        if not requested:
+            found = self.bound[run] = (product, prefixes, _NO_ROWS)
+            return found
+        forked = np.array([column for _, columns in used for column in columns], dtype=np.intp)
+        # P_iᴴ (G_i P_i) per requested rotation.
+        terms = np.matmul(
+            np.conj(prefixes).swapaxes(1, 2),
+            run.phases[requested][:, :, np.newaxis]
+            * prefixes[np.arange(len(requested))[:, np.newaxis], run.perms[requested]],
         )
+        # Each parameter's terms summed in rotation order, one rank at a time,
+        # so a column's bits do not depend on what else is requested.
+        sums, start = terms[: len(used)], len(used)
+        for rank in ranks[1:]:
+            sums[: len(rank)] += terms[start : start + len(rank)]
+            start += len(rank)
+        # Then one sum per forked column, in column order: a copy only where
+        # that order is not already the sums' own.
+        position = {index: row for row, index in enumerate(order)}
+        rows = [position[index] for index, (_, columns) in enumerate(used) for _ in columns]
+        if rows != list(range(len(order))):
+            sums = sums[rows]
+        found = self.bound[run] = (product, np.matmul(-0.5j * product, sums), forked)
         return found
 
     def _apply(
@@ -912,15 +981,10 @@ class _Evaluator:
         # K_i = |0⟩⟨i| — each K_i|ψ⟩ is pure, and Σ_i K_i|ψ⟩⟨ψ|K_i† is the
         # channel exactly (and Σ_i K_i|∂ψ⟩⟨ψ|K_i† its tangent).
         dim = self.layout.dims[axis]
-        parts = []
-        for source in range(dim):
-            kraus = np.zeros((dim, dim), dtype=complex)
-            kraus[0, source] = 1.0
-            split = kernels.apply_operator_vector_batch(
-                rows.stack, self.layout.dims, (axis,), kraus
-            )
-            parts.append(self._prune(rows._replace(stack=split)))
-        return self._compact(parts)
+        kraus = np.zeros((dim, dim, dim), dtype=complex)
+        kraus[:, 0, :] = np.eye(dim)
+        splits = kernels.apply_operator_vector_batch(rows.stack, self.layout.dims, (axis,), kraus)
+        return self._compact([self._prune(rows._replace(stack=split)) for split in splits])
 
     def _case(self, program: Case, rows: _Rows) -> _Rows:
         axes = self.layout.axes_of(program.qubits)

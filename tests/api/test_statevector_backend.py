@@ -242,6 +242,22 @@ class TestRouting:
         assert counting.value_calls == 1
         assert backend.tier_counts["pure"] == 1
 
+    def test_a_weakly_entangled_reset_is_not_served_as_a_product_state(self):
+        # cos(ε)|00⟩ − i·sin(ε)|11⟩ with ε = 5e-6 has a relative purity
+        # defect of about 1e-10 at the reset: a pure-tier reset that keeps
+        # one row must discard no more than the walk's pruning floor, or the
+        # readout is off by about 5e-11 with nothing in `dropped`.
+        program = seq([Init("q1"), rx(THETA, "q2")])
+        layout = RegisterLayout(("q1", "q2"))
+        epsilon = 5e-6
+        amplitudes = np.zeros(4, dtype=complex)
+        amplitudes[0], amplitudes[3] = np.cos(epsilon), -1j * np.sin(epsilon)
+        state = DensityState.from_pure(layout, amplitudes)
+        estimator = Estimator(program, ZZ, layout, backend="auto")
+        exact = Estimator(program, ZZ, layout, backend="exact-density").value(state, BINDING)
+        assert abs(estimator.value(state, BINDING) - exact) <= 1e-14
+        assert estimator.backend.tier_counts["pure"] == 0
+
     def test_batches_mix_pure_and_mixed_inputs(self):
         program = seq([rx(THETA, "q1"), rxx(PHI, "q1", "q2")])
         layout = RegisterLayout(("q1", "q2"))

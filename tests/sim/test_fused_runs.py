@@ -2,13 +2,16 @@
 
 A run of consecutive unitary statements on at most ``_FUSE_MAX`` amplitudes
 applies as one bound operator ``R`` on its own variables, plus one
-``D_k = ∂R/∂θ_k`` per requested parameter the run uses.  The reference is the
-exact density simulator: values and gradient rows of random programs whose
-runs fuse, inside and around ``case`` and ``while``, agree with it to 1e-10,
-on a register of five qubits and on one with a qutrit riding along.  The
-fusion rule is static, a row's bits do not depend on its batch, a run is
-bound once per walk, a gate with no tangent rule still raises, and the plans
-live on the program, so a dropped program is collected.
+``D_k = ∂R/∂θ_k`` per column it forks, all applied in one stacked call.  The
+reference is the exact density simulator: values and gradient rows of random
+programs whose runs fuse, inside and around ``case`` and ``while``, agree
+with it to 1e-10, on a register of five qubits and on one with a qutrit
+riding along.  The fusion rule is static, a bound ``D_k`` is the central
+difference of the bound ``R``, a row's bits depend neither on its batch nor
+on the other columns requested, the one scatter of a fork equals one fork
+per column, a run is bound once per walk, a gate with no tangent rule still
+raises, and the plans live on the program, so a dropped program is
+collected.
 """
 
 import gc
@@ -50,6 +53,8 @@ from repro.sim.density import DensityState
 from repro.sim.hilbert import RegisterLayout
 from repro.sim.statevector import StateVector
 from repro.sim.trajectories import _FUSE_MAX, _fusion_plan, denote_trajectory_batch
+from repro.vqc.classifier import build_p2, build_p3
+from repro.vqc.datasets import paper_dataset
 from repro.vqc.generators import build_instance
 
 THETA = Parameter("theta")
@@ -304,6 +309,155 @@ class TestBindingOncePerWalk:
             denote_trajectory_batch(program, layout, vectors, binding, parameters=parameters)
             assert len(uses) == 3
             assert len(builds) == 1
+
+
+def _bound(run, layout, values, parameters):
+    """``(R, D stack, forked columns)`` of ``run`` bound at ``values``."""
+    evaluator = trajectories._Evaluator(
+        layout,
+        ParameterBinding(values),
+        trajectories.TrajectoryOptions(),
+        1,
+        tuple(parameters),
+        np.zeros(len(parameters)),
+    )
+    return evaluator._bind(run)
+
+
+class TestBoundDerivatives:
+    LAYOUT = LAYOUTS["qutrit-ride-along"]
+    STATEMENTS = [
+        rx(THETA, "q1"),
+        UnitaryApp(hadamard(), ("q2",)),
+        rzz(THETA, "q1", "q2"),
+        UnitaryApp(cnot(), ("q2", "q3")),
+        ry(PHI, "q3"),
+        rx(THETA, "q3"),
+        ryy(PSI, "q1", "q3"),
+        rz(0.4, "q2"),
+    ]
+    VALUES = {THETA: 0.7, PHI: -1.3, PSI: 2.1}
+
+    def _run(self):
+        ((_, _, run),) = _fusion_plan(seq(self.STATEMENTS), self.LAYOUT)
+        assert run is not None and len(run.uses[THETA]) == 3
+        return run
+
+    def test_the_bound_operator_is_the_gates_multiplied_out(self):
+        run = self._run()
+        dims = tuple(self.LAYOUT.dims[axis] for axis in run.axes)
+        position = {self.LAYOUT.names[axis]: index for index, axis in enumerate(run.axes)}
+        binding = ParameterBinding(self.VALUES)
+        expected = np.eye(math.prod(dims), dtype=complex)
+        for statement in self.STATEMENTS:
+            targets = tuple(position[qubit] for qubit in statement.qubits)
+            gate = trajectories._embedded(statement.gate.matrix(binding), dims, targets)
+            expected = gate @ expected
+        operator, _, _ = _bound(run, self.LAYOUT, self.VALUES, ())
+        assert np.allclose(operator, expected, rtol=0.0, atol=1e-13)
+
+    def test_each_column_is_the_derivative_of_the_bound_operator(self):
+        # θ is requested twice and used three times, with a coupling and
+        # fixed gates between its uses; ψ's column comes first.
+        run = self._run()
+        requested = (PSI, THETA, PHI, THETA)
+        _, derivatives, forked = _bound(run, self.LAYOUT, self.VALUES, requested)
+        # Columns in the order their parameters first occur in the run.
+        assert forked.tolist() == [1, 3, 2, 0]
+        step = 1e-5
+        for column, derivative in zip(forked.tolist(), derivatives):
+            parameter = requested[column]
+            up, down = (
+                _bound(run, self.LAYOUT, {**self.VALUES, parameter: value}, ())[0]
+                for value in (self.VALUES[parameter] + step, self.VALUES[parameter] - step)
+            )
+            assert np.allclose(derivative, (up - down) / (2 * step), rtol=0.0, atol=1e-8)
+
+    def test_a_column_does_not_depend_on_what_else_is_requested(self):
+        run = self._run()
+        _, together, forked = _bound(run, self.LAYOUT, self.VALUES, (PSI, THETA, PHI))
+        for column, parameter in ((1, THETA), (0, PSI)):
+            _, alone, _ = _bound(run, self.LAYOUT, self.VALUES, (parameter,))
+            assert np.array_equal(alone[0], together[forked.tolist().index(column)])
+
+    @pytest.mark.parametrize("build", [build_p2, build_p3])
+    def test_a_tangent_row_does_not_depend_on_what_else_is_requested(self, build):
+        classifier = build()
+        layout = classifier.layout()
+        binding = classifier.initial_binding(seed=4, spread=1.0)
+        vectors = np.array(
+            [classifier.input_statevector(bits).amplitudes for bits, _ in paper_dataset()]
+        )
+        every = tuple(classifier.parameters)
+        both = denote_trajectory_batch(classifier.program, layout, vectors, binding, parameters=every)
+        for column in (0, 17, len(every) - 1):
+            alone = denote_trajectory_batch(
+                classifier.program, layout, vectors, binding, parameters=(every[column],)
+            )
+            assert np.array_equal(alone.amplitudes, both.amplitudes)
+            mine = both.columns == column
+            assert np.array_equal(alone.parents, both.parents[mine])
+            assert np.array_equal(alone.tangents, both.tangents[mine])
+
+
+def _fork_one_column(target, size, count, shift, column, parents, columns):
+    """One column's fork, as the walk made one per column: the reference."""
+    mine = np.flatnonzero(columns == column)
+    target[count + mine] += shift[parents[mine]]
+    missing = np.ones(count, dtype=bool)
+    missing[parents[mine]] = False
+    fresh = np.flatnonzero(missing)
+    target[size : size + fresh.size] = shift[fresh]
+    return (
+        size + fresh.size,
+        np.concatenate([parents, fresh]),
+        np.concatenate([columns, np.full(fresh.size, column, dtype=np.intp)]),
+    )
+
+
+class TestOneScatter:
+    LAYOUT = RegisterLayout(("q1", "q2", "t"), {"t": 3})
+    AXES = (2, 0)
+
+    @pytest.mark.parametrize(
+        "parents,columns",
+        [
+            ([], []),
+            # Tangents of columns the statement does not fork.
+            ([0, 2], [1, 1]),
+            # Rows that already carry some of the forked columns, in any order.
+            ([2, 0, 1, 0, 2], [3, 3, 1, 0, 2]),
+            # Every row carries every forked column.
+            ([0, 1, 2, 0, 1, 2, 2, 1, 0], [0, 0, 0, 2, 2, 2, 3, 3, 3]),
+        ],
+        ids=["no-tangents", "other-columns", "some-columns", "every-column"],
+    )
+    def test_one_scatter_is_one_fork_per_column(self, parents, columns):
+        rng = np.random.default_rng(len(parents))
+        count, forked = 3, np.array([3, 0, 2])
+        parents = np.array(parents, dtype=np.intp)
+        columns = np.array(columns, dtype=np.intp)
+        size = count + parents.size
+        width = self.LAYOUT.total_dim
+        target = np.empty((size + count * forked.size, width), dtype=complex)
+        target[:size] = _random_vectors(7, size, width)
+        reference = target.copy()
+        forward = _random_vectors(8, count, width)
+        shape = (forked.size, 6, 6)
+        derivatives = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        evaluator = trajectories._Evaluator(
+            self.LAYOUT, None, trajectories.TrajectoryOptions(), count, PARAMETERS + (Parameter("x"),),
+            np.zeros(4),
+        )
+        got = evaluator._fork(self.AXES, derivatives, forward, target, size, forked, parents, columns)
+        expected = (size, parents, columns)
+        for column, derivative in zip(forked.tolist(), derivatives):
+            shift = kernels.apply_operator_vector_batch(forward, self.LAYOUT.dims, self.AXES, derivative)
+            expected = _fork_one_column(reference, expected[0], count, shift, column, *expected[1:])
+        assert got[0] == expected[0]
+        assert np.array_equal(target[: got[0]], reference[: expected[0]])
+        assert np.array_equal(got[1], expected[1])
+        assert np.array_equal(got[2], expected[2])
 
 
 class TestNoTangentRule:

@@ -309,3 +309,75 @@ class TestContractionGeometries:
         ).reshape(2, plan.total)
         applied = kernels.apply_operator_vector_batch(stack, dims, axes, operator)
         assert np.allclose(applied, reference)
+
+
+#: A stack of operators on one target tuple, per contraction geometry: the
+#: wider registers above, qudit dimensions, targets out of layout order,
+#: and the 4-, 10- and 12-qubit shapes of the trajectory walk's fused runs.
+STACKED = GEOMETRIES + [
+    ((2,) * 4, (0, 1, 2, 3), "window"),
+    ((2,) * 10, (3, 2, 1, 0), "blocks"),
+    ((2,) * 12, (4, 5, 6, 7), "blocks"),
+    ((2,) * 12, (11, 8, 9, 10), "window"),
+    ((2,) * 12, (0, 3), "tensordot"),
+]
+
+
+class TestStackedOperators:
+    @pytest.mark.parametrize("dims,axes,geometry", STACKED)
+    def test_a_stack_is_each_operator_applied_alone_bit_for_bit(self, dims, axes, geometry):
+        plan = kernels._plan(dims, axes)
+        if plan.window is not None:
+            assert geometry == "window"
+        else:
+            assert geometry == ("blocks" if plan.blocks is not None else "tensordot")
+        rng = np.random.default_rng(len(dims) + sum(axes))
+        operators = np.stack([_random_matrix(rng, plan.expected) for _ in range(3)])
+        stack = np.stack([_random_vector(rng, plan.total) for _ in range(2)])
+        with kernels.count_kernel_ops() as alone:
+            singles = [
+                kernels.apply_operator_vector_batch(stack, dims, axes, operator)
+                for operator in operators
+            ]
+        with kernels.count_kernel_ops() as stacked:
+            applied = kernels.apply_operator_vector_batch(stack, dims, axes, operators)
+        assert applied.shape == (3,) + stack.shape
+        for row, single in zip(applied, singles):
+            assert np.array_equal(row, single)
+        out = np.empty(applied.shape, dtype=complex)
+        kernels.apply_operator_vector_batch(stack, dims, axes, operators, out=out)
+        assert np.array_equal(out, applied)
+        # K applies' model flops in one call; its working set is the input
+        # plus the K outputs.
+        assert stacked.calls == 1 and alone.calls == 3
+        assert stacked.flops == alone.flops
+        assert stacked.peak_bytes == (1 + 3) * stack.size * 16
+
+    def test_measurement_branches_come_from_one_call(self):
+        layout = _layout((2, 3, 2))
+        rng = np.random.default_rng(5)
+        operators = [_random_matrix(rng, 6) for _ in range(3)]
+        stack = np.stack([_random_vector(rng, layout.total_dim) for _ in range(4)])
+        with kernels.count_kernel_ops() as counters:
+            branches = kernels.measure_branch_vector_batch(stack, layout.dims, (2, 1), operators)
+        assert counters.calls == 1
+        assert isinstance(branches, list) and len(branches) == 3
+        for branch, operator in zip(branches, operators):
+            full = layout.embed_operator(operator, ["q2", "q1"])
+            assert np.allclose(branch, stack @ full.T)
+            assert np.array_equal(
+                branch, kernels.apply_operator_vector_batch(stack, layout.dims, (2, 1), operator)
+            )
+
+    def test_shapes_are_checked(self):
+        dims = (2, 2, 2)
+        stack = np.zeros((2, 8), dtype=complex)
+        with pytest.raises(DimensionMismatchError):
+            kernels.apply_operator_vector_batch(stack, dims, (0,), np.zeros((3, 4, 4)))
+        with pytest.raises(DimensionMismatchError):
+            kernels.apply_operator_vector_batch(
+                stack, dims, (0,), np.zeros((3, 2, 2)), out=np.empty((2, 8), dtype=complex)
+            )
+        # Only the statevector apply takes a stack.
+        with pytest.raises(DimensionMismatchError):
+            kernels.conjugate_operator_density(np.eye(8), dims, (0,), np.zeros((3, 2, 2)))
